@@ -13,10 +13,9 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .lattices import json_sanitize
 from .pitheory import (
@@ -173,26 +172,6 @@ def parse_partition(text: str) -> tuple[int, ...]:
 # output plumbing
 # ---------------------------------------------------------------------------
 
-def _thread_count() -> int:
-    raw = os.environ.get("PI_LATTICE_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
-
-
-def _run_jobs(jobs: Sequence, worker: Callable):
-    """Run independent jobs, in a thread pool when PI_LATTICE_THREADS
-    allows; results come back in job order regardless of completion."""
-    threads = _thread_count()
-    if threads > 1 and len(jobs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
-            return list(pool.map(worker, jobs))
-    return [worker(job) for job in jobs]
-
-
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -238,13 +217,12 @@ def cmd_codim(args) -> int:
         output=args.output, format=args.format, seed=args.seed,
         row_budget=args.row_budget, timings=args.timings,
     )
-    reports = _run_jobs(
-        degrees,
-        lambda n: ordinary_codim(
+    reports = [
+        ordinary_codim(
             model, n, include_proper=args.proper, row_budget=args.row_budget
-        ),
-    )
-    reports.sort(key=lambda r: (r.ring_label, r.n))
+        )
+        for n in degrees
+    ]
     docs = []
     for rep in reports:
         doc = rep.to_json(timings=args.timings)

@@ -40,7 +40,26 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-class LatticeBuilder:
+class _Echelon:
+    """Reduction against echelon ``rows`` with strictly increasing
+    ``pivots``, shared by the streaming builder and the frozen lattice."""
+
+    __slots__ = ()
+
+    def reduce(self, row: Row) -> list[int]:
+        """Remainder of ``row`` after reduction against the basis."""
+        v = list(row)
+        for r, j in zip(self.rows, self.pivots):
+            q = v[j] // r[j]
+            if q:
+                v = [a - q * b for a, b in zip(v, r)]
+        return v
+
+    def contains(self, row: Row) -> bool:
+        return not any(self.reduce(row))
+
+
+class LatticeBuilder(_Echelon):
     """Streaming row-HNF accumulator for a sublattice of Z^ambient.
 
     Rows are folded one at a time; the builder keeps an echelon basis with
@@ -93,19 +112,6 @@ class LatticeBuilder:
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, row: Row) -> list[int]:
-        """Remainder of ``row`` after reduction against the current basis."""
-        v = list(row)
-        for i, j in enumerate(self.pivots):
-            q = v[j] // self.rows[i][j]
-            if q:
-                r = self.rows[i]
-                v = [a - q * b for a, b in zip(v, r)]
-        return v
-
-    def contains(self, row: Row) -> bool:
-        return not any(self.reduce(row))
-
     def _back_reduce(self) -> None:
         # increasing pivot order: rows are echelon, so reducing against a
         # later pivot never reintroduces entries in an earlier pivot column
@@ -148,7 +154,7 @@ def hnf(rows: Iterable[Row], ambient: int | None = None) -> tuple[tuple[int, ...
 
 
 @dataclass(frozen=True)
-class SubmoduleLattice:
+class SubmoduleLattice(_Echelon):
     """A sublattice of Z^ambient, stored as its canonical row HNF."""
 
     ambient: int
@@ -190,18 +196,6 @@ class SubmoduleLattice:
         if all(r[p] == 1 for r, p in zip(self.rows, self.pivots)):
             return True
         return all(d == 1 for d in smith_normal_form(self.rows, self.ambient))
-
-    def reduce(self, row: Row) -> list[int]:
-        v = list(row)
-        for i, p in enumerate(self.pivots):
-            q = v[p] // self.rows[i][p]
-            if q:
-                r = self.rows[i]
-                v = [a - q * b for a, b in zip(v, r)]
-        return v
-
-    def contains(self, row: Row) -> bool:
-        return not any(self.reduce(row))
 
     def contains_lattice(self, other: "SubmoduleLattice") -> bool:
         return all(self.contains(r) for r in other.rows)
@@ -647,6 +641,30 @@ def _clean_rows(
     return free, tors
 
 
+def _restricted_torsion(rows: Iterable[tuple[Row, int]], columns: int) -> tuple:
+    """Prelude shared by ``image_invariants`` and ``evaluation_kernel``.
+
+    Returns (h0, nbasis, level, scaled): h0 is the Hermite form of the
+    free (m = 0) rows; nbasis a basis of their common kernel N; level the
+    lcm of the torsion moduli; and scaled holds each torsion row restricted
+    to N and scaled into Z/level, zero restrictions dropped.  Without
+    torsion rows N is not computed (nbasis is None).
+    """
+    free, tors = _clean_rows(rows)
+    h0 = hnf(free, columns) if free else ()
+    if not tors:
+        return h0, None, 0, []
+    nbasis = kernel_basis(h0, columns)
+    level = lcm(*[m for _, m in tors])
+    scaled = []
+    for vec, m in tors:
+        s = level // m
+        b = [s * sum(nb[j] * vec[j] for j in range(columns)) % level for nb in nbasis]
+        if any(b):
+            scaled.append(b)
+    return h0, nbasis, level, scaled
+
+
 def image_invariants(rows: Iterable[tuple[Row, int]], columns: int) -> AbelianInvariants:
     """Invariants of the image of the evaluation map Z^columns -> prod Z/m_i.
 
@@ -661,33 +679,12 @@ def image_invariants(rows: Iterable[tuple[Row, int]], columns: int) -> AbelianIn
     >>> image_invariants([([0, 0], 7)], 2)      # zero map: trivial image
     AbelianInvariants(torsion=(), free_rank=0)
     """
-    free, tors = _clean_rows(rows)
-    rho = LatticeBuilder(columns, free).rank() if free else 0
-    if not tors:
-        return AbelianInvariants((), rho)
-    if free:
-        h0 = hnf(free, columns)
-        nbasis = kernel_basis(h0, columns)
-    else:
-        nbasis = [[int(i == j) for j in range(columns)] for i in range(columns)]
-    cp = len(nbasis)
-    if cp == 0:
-        return AbelianInvariants((), rho)
-    level = lcm(*[m for _, m in tors])
-    lam = LatticeBuilder(cp)
-    for i in range(cp):
-        row = [0] * cp
-        row[i] = level
-        lam.add(row)
-    for vec, m in tors:
-        s = level // m
-        b = [s * sum(nb[j] * vec[j] for j in range(columns)) % level for nb in nbasis]
-        if any(b):
-            lam.add(b)
-    hl = lam.snapshot()
-    big = SubmoduleLattice.scaled(cp, level)
-    torsion = hl.quotient_invariants(big).torsion
-    return AbelianInvariants(torsion, rho)
+    h0, nbasis, level, scaled = _restricted_torsion(rows, columns)
+    if not scaled:
+        return AbelianInvariants((), len(h0))
+    big = SubmoduleLattice.scaled(len(nbasis), level)
+    hl = LatticeBuilder(big.ambient, [*big.rows, *scaled]).snapshot()
+    return AbelianInvariants(hl.quotient_invariants(big).torsion, len(h0))
 
 
 def evaluation_kernel(rows: Iterable[tuple[Row, int]], columns: int) -> SubmoduleLattice:
@@ -696,23 +693,13 @@ def evaluation_kernel(rows: Iterable[tuple[Row, int]], columns: int) -> Submodul
     This is the relation lattice of the image computed by
     ``image_invariants``: Z^columns / kernel is isomorphic to the image.
     """
-    free, tors = _clean_rows(rows)
-    if free:
-        h0 = hnf(free, columns)
+    h0, nbasis, level, scaled = _restricted_torsion(rows, columns)
+    if nbasis is None:
         nbasis = kernel_basis(h0, columns)
-    else:
-        nbasis = [[int(i == j) for j in range(columns)] for i in range(columns)]
-    cp = len(nbasis)
-    if not tors or cp == 0:
+    if not scaled:
         return SubmoduleLattice.from_rows(columns, nbasis)
-    level = lcm(*[m for _, m in tors])
-    lam = LatticeBuilder(cp)
-    for vec, m in tors:
-        s = level // m
-        b = [s * sum(nb[j] * vec[j] for j in range(columns)) % level for nb in nbasis]
-        if any(b):
-            lam.add(b)
-    hl = lam.snapshot()
+    cp = len(nbasis)
+    hl = LatticeBuilder(cp, scaled).snapshot()
     r = hl.rank
     # u in K' iff Hl @ u is divisible by `level` coordinatewise: right-kernel
     # of [Hl | level*I] projected onto the u block.

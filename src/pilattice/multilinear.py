@@ -268,10 +268,6 @@ class CommutatorWord:
         return "".join(bits) or "1"
 
 
-def expand(word: CommutatorWord) -> MultilinearPoly:
-    return word.expand()
-
-
 # ---------------------------------------------------------------------------
 # the proper sublattice: integer span of products of commutators
 # ---------------------------------------------------------------------------

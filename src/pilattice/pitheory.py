@@ -27,7 +27,6 @@ from .lattices import (
     field_rank,
     image_invariants,
     json_sanitize,
-    lattice_quotient_invariants,
 )
 from .multilinear import (
     MultilinearPoly,
@@ -41,6 +40,7 @@ from .rings import (
     evaluate,
     generator_tuples,
     grassmann,
+    tuple_count,
     ut2,
 )
 from .specht import (
@@ -73,8 +73,8 @@ class BudgetExceeded(RuntimeError):
 
     def __init__(self, label: str, n: int, needed: int, budget: int):
         super().__init__(
-            f"{label} at n={n} needs more than {budget} evaluation rows "
-            f"(>= {needed}); raise the row budget to proceed"
+            f"{label} at n={n} needs {needed} evaluation rows, more than "
+            f"the budget of {budget}; raise the row budget to proceed"
         )
         self.label, self.n, self.needed, self.budget = label, n, needed, budget
 
@@ -101,8 +101,6 @@ def evaluation_functionals(
     model: RingModel,
     n: int,
     polys: Sequence[Sequence[tuple[int, int]]] | None = None,
-    *,
-    row_budget: int | None = None,
 ) -> list[Functional]:
     """Linear functionals describing all degree-n substitutions.
 
@@ -113,18 +111,13 @@ def evaluation_functionals(
     deduplicated up to sign, which changes neither the subgroup they
     generate nor their common kernel.
     """
-    budget = DEFAULT_ROW_BUDGET if row_budget is None else row_budget
     order = monomial_order(n)
     gens = [{k: c for k, c in enumerate(g) if c} for g in model.generators]
     mul = model.mul_sparse
     moduli = model.moduli
     out: list[Functional] = []
     seen_rows: set[Functional] = set()
-    counted = 0
     for tup in generator_tuples(model, n):
-        counted += model.rank
-        if counted > budget:
-            raise BudgetExceeded(model.label, n, counted, budget)
         elems = [gens[i] for i in tup]
         # consecutive words in lex order share prefixes, so keep a stack
         # of partial products and rebuild only the changed suffix
@@ -162,49 +155,45 @@ def evaluation_functionals(
     return out
 
 
-def _sparse_polys(
-    matrix: Sequence[Sequence[int]],
-) -> tuple[tuple[tuple[int, int], ...], ...]:
-    return tuple(tuple((i, c) for i, c in enumerate(row) if c) for row in matrix)
+def _check_budget(model: RingModel, n: int, row_budget: int | None) -> None:
+    """Raise iff evaluating degree n would visit more candidate rows (one
+    per ring coordinate of every generator tuple) than the budget allows.
+
+    Every entry point that evaluates calls this before any cache lookup,
+    so the outcome never depends on what an earlier call computed."""
+    budget = DEFAULT_ROW_BUDGET if row_budget is None else row_budget
+    needed = tuple_count(model, n) * model.rank
+    if needed > budget:
+        raise BudgetExceeded(model.label, n, needed, budget)
 
 
-def _budget(row_budget: int | None) -> int:
-    return DEFAULT_ROW_BUDGET if row_budget is None else row_budget
+def _columns(n: int, proper: bool) -> int:
+    return len(proper_basis(n).elements) if proper else len(monomial_order(n))
+
+
+# The caches below are keyed only on what determines the answer: the
+# model, the degree, and the column basis (n! monomials, or the proper
+# basis when ``proper``).  They do no budget check of their own.
+
+@lru_cache(maxsize=None)
+def _rows(model: RingModel, n: int, proper: bool) -> tuple[Functional, ...]:
+    polys = None
+    if proper:
+        polys = tuple(
+            tuple((i, c) for i, c in enumerate(row) if c)
+            for row in proper_basis(n).matrix
+        )
+    return tuple(evaluation_functionals(model, n, polys))
 
 
 @lru_cache(maxsize=None)
-def _monomial_rows(model: RingModel, n: int, budget: int) -> tuple[Functional, ...]:
-    return tuple(evaluation_functionals(model, n, row_budget=budget))
+def _invariants(model: RingModel, n: int, proper: bool) -> AbelianInvariants:
+    return image_invariants(_rows(model, n, proper), _columns(n, proper))
 
 
 @lru_cache(maxsize=None)
-def _proper_rows(model: RingModel, n: int, budget: int) -> tuple[Functional, ...]:
-    polys = _sparse_polys(proper_basis(n).matrix)
-    return tuple(evaluation_functionals(model, n, polys, row_budget=budget))
-
-
-@lru_cache(maxsize=None)
-def _ordinary_invariants(model: RingModel, n: int, budget: int) -> AbelianInvariants:
-    return image_invariants(_monomial_rows(model, n, budget), len(monomial_order(n)))
-
-
-@lru_cache(maxsize=None)
-def _proper_invariants(model: RingModel, n: int, budget: int) -> AbelianInvariants:
-    return image_invariants(
-        _proper_rows(model, n, budget), len(proper_basis(n).elements)
-    )
-
-
-@lru_cache(maxsize=None)
-def _monomial_kernel(model: RingModel, n: int, budget: int) -> SubmoduleLattice:
-    return evaluation_kernel(_monomial_rows(model, n, budget), len(monomial_order(n)))
-
-
-@lru_cache(maxsize=None)
-def _proper_kernel(model: RingModel, n: int, budget: int) -> SubmoduleLattice:
-    return evaluation_kernel(
-        _proper_rows(model, n, budget), len(proper_basis(n).elements)
-    )
+def _kernel(model: RingModel, n: int, proper: bool) -> SubmoduleLattice:
+    return evaluation_kernel(_rows(model, n, proper), _columns(n, proper))
 
 
 def unit_subgroup_invariants(model: RingModel) -> AbelianInvariants:
@@ -272,8 +261,9 @@ def ordinary_codim(
     """Invariants of the group of degree-n values of the model (the
     degree-n component of the free ring modulo the model's identities)."""
     _check_degree(model, n, n_bound)
+    _check_budget(model, n, row_budget)
     t0 = time.perf_counter()
-    inv = _ordinary_invariants(model, n, _budget(row_budget))
+    inv = _invariants(model, n, False)
     prop = (
         proper_codim(model, n, n_bound=n_bound, row_budget=row_budget)
         if include_proper
@@ -298,7 +288,8 @@ def proper_codim(
     if n == 1:
         return AbelianInvariants((), 0)
     _check_degree(model, n, n_bound)
-    return _proper_invariants(model, n, _budget(row_budget))
+    _check_budget(model, n, row_budget)
+    return _invariants(model, n, True)
 
 
 def kernel_lattice(
@@ -310,7 +301,8 @@ def kernel_lattice(
 ) -> SubmoduleLattice:
     """The degree-n identity lattice of the model inside Z^{n!}."""
     _check_degree(model, n, n_bound)
-    return _monomial_kernel(model, n, _budget(row_budget))
+    _check_budget(model, n, row_budget)
+    return _kernel(model, n, False)
 
 
 def proper_quotient_pair(
@@ -324,11 +316,8 @@ def proper_quotient_pair(
     the quotient is the degree-n proper value group, and the symmetric
     group acts on both via ``proper_action_matrix``."""
     _check_degree(model, n, n_bound)
-    dim = len(proper_basis(n).elements)
-    return (
-        SubmoduleLattice.full(dim),
-        _proper_kernel(model, n, _budget(row_budget)),
-    )
+    _check_budget(model, n, row_budget)
+    return SubmoduleLattice.full(_columns(n, True)), _kernel(model, n, True)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +366,6 @@ def proper_row_action(n: int) -> Callable[[Row, Sequence[int]], list[int]]:
     return act
 
 
-@lru_cache(maxsize=None)
 def proper_quotient_character(
     model: RingModel,
     t: int,
@@ -388,11 +376,18 @@ def proper_quotient_character(
     per cycle type in ``partitions(t)`` order."""
     if t == 1:
         return tuple(0 for _ in partitions(1))
-    outer, inner = proper_quotient_pair(
-        model, t, n_bound=n_bound, row_budget=row_budget
-    )
+    _check_degree(model, t, n_bound)
+    _check_budget(model, t, row_budget)
+    return _proper_character(model, t)
+
+
+@lru_cache(maxsize=None)
+def _proper_character(model: RingModel, t: int) -> tuple[int, ...]:
     return rational_character(
-        outer, inner, proper_row_action(t), conjugacy_class_reps(t)
+        SubmoduleLattice.full(_columns(t, True)),
+        _kernel(model, t, True),
+        proper_row_action(t),
+        conjugacy_class_reps(t),
     )
 
 
@@ -433,10 +428,6 @@ def _outcome(claim, subject, n, expected, computed, witness="") -> VerificationO
     )
 
 
-def _inv_str(inv: AbelianInvariants) -> str:
-    return str(inv)
-
-
 # ---------------------------------------------------------------------------
 # the binomial bridge between ordinary and proper codimensions
 # ---------------------------------------------------------------------------
@@ -454,6 +445,8 @@ def verify_proper_ordinary(
     if model.unit is None:
         raise ValueError("the ordinary/proper bridge needs a unital model")
     bound = degree_bound(model) if n_max is None else n_max
+    for n in range(1, bound + 1):
+        _check_budget(model, n, row_budget)
     gammas = {
         j: proper_codim(model, j, n_bound=bound, row_budget=row_budget)
         for j in range(bound + 1)
@@ -471,8 +464,8 @@ def verify_proper_ordinary(
                 "proper-ordinary",
                 model.label,
                 n,
-                _inv_str(expected),
-                _inv_str(computed),
+                str(expected),
+                str(computed),
                 "binomial sum of proper groups misses the value group",
             )
         )
@@ -666,7 +659,7 @@ def _induced_character(model: RingModel, t: int, n: int) -> tuple[int, ...]:
     symmetric group on n letters, by the finite-group induction formula
     (the averaging sum is exactly divisible by the subgroup order --
     checked)."""
-    chi = proper_quotient_character(model, t)
+    chi = _proper_character(model, t)
     classes = partitions(t)
     h_size = math.factorial(t) * math.factorial(n - t)
     values = []
@@ -686,7 +679,6 @@ def _induced_character(model: RingModel, t: int, n: int) -> tuple[int, ...]:
     return tuple(values)
 
 
-@lru_cache(maxsize=None)
 def drensky_filtration(
     model: RingModel, n: int, n_bound: int | None = None
 ) -> DrenskyReport:
@@ -700,15 +692,22 @@ def drensky_filtration(
     character (computed directly on the filtration, and independently
     via the induction formula).
     """
+    _check_degree(model, n, n_bound)
+    for t in range(2, n + 1):
+        _check_budget(model, t, None)
+    return _drensky(model, n)
+
+
+@lru_cache(maxsize=None)
+def _drensky(model: RingModel, n: int) -> DrenskyReport:
     if model.unit is None:
         raise ValueError("the filtration needs a unital model")
     if n < 2:
         raise ValueError("need n >= 2")
-    _check_degree(model, n, n_bound)
     order = monomial_order(n)
     dim = len(order)
     index = {w: i for i, w in enumerate(order)}
-    kernel = kernel_lattice(model, n, n_bound=n_bound)
+    kernel = _kernel(model, n, False)
     words = list(itertools.permutations(range(1, n + 1)))
 
     def level(t: int) -> SubmoduleLattice:
@@ -737,8 +736,8 @@ def drensky_filtration(
     act = monomial_row_action(n)
     factors = []
     for t in range(2, n + 1):
-        inv = lattice_quotient_invariants(levels[t], levels[t + 1])
-        expected = proper_codim(model, t).power(math.comb(n, t))
+        inv = levels[t].quotient_invariants(levels[t + 1])
+        expected = _invariants(model, t, True).power(math.comb(n, t))
         chi = rational_character(levels[t], levels[t + 1], act, reps)
         chi_expected = _induced_character(model, t, n)
         factors.append(DrenskyFactor(t, inv, expected, chi, chi_expected))
@@ -746,14 +745,16 @@ def drensky_filtration(
 
 
 def drensky_outcomes(model: RingModel, n: int) -> list[VerificationOutcome]:
-    report = drensky_filtration(model, n)
+    """The filtration checks as outcomes; callers check the budget of
+    degrees 2..n first."""
+    report = _drensky(model, n)
     out = [
         _outcome(
             "drensky",
             model.label,
             n,
-            _inv_str(report.head_expected),
-            _inv_str(report.head_invariants),
+            str(report.head_expected),
+            str(report.head_invariants),
             "head quotient is not cyclic of the characteristic",
         )
     ]
@@ -764,11 +765,11 @@ def drensky_outcomes(model: RingModel, n: int) -> list[VerificationOutcome]:
                 f"{model.label} t={f.t}",
                 n,
                 {
-                    "invariants": _inv_str(f.expected),
+                    "invariants": str(f.expected),
                     "character": list(f.expected_character),
                 },
                 {
-                    "invariants": _inv_str(f.invariants),
+                    "invariants": str(f.invariants),
                     "character": list(f.character),
                 },
                 f"level {f.t} factor differs from the induced proper module",
@@ -795,6 +796,8 @@ def verify_ut2(
     model = ut2(ell, m)
     label = model.label
     basis = ut2_identity_basis(ell, m)
+    for n in sorted({f.degree for f in basis} | set(range(2, n_max + 1))):
+        _check_budget(model, n, row_budget)
     out = [
         _outcome(
             "ut2.codim", f"{label} identities vanish", None,
@@ -815,7 +818,7 @@ def verify_ut2(
         computed = ordinary_codim(model, n, row_budget=row_budget).ordinary
         out.append(
             _outcome(
-                "ut2.codim", label, n, _inv_str(expected), _inv_str(computed),
+                "ut2.codim", label, n, str(expected), str(computed),
                 "ordinary invariants differ from the closed formula",
             )
         )
@@ -828,12 +831,12 @@ def verify_ut2(
             exp_proper = cyclic_invariants(m).power(rank)
             chi_expected = tuple(0 for _ in partitions(n))
         got_proper = proper_codim(model, n, row_budget=row_budget)
-        chi = proper_quotient_character(model, n, None, row_budget)
+        chi = proper_quotient_character(model, n, row_budget=row_budget)
         out.append(
             _outcome(
                 "ut2.codim", f"{label} proper", n,
-                {"invariants": _inv_str(exp_proper), "character": list(chi_expected)},
-                {"invariants": _inv_str(got_proper), "character": list(chi)},
+                {"invariants": str(exp_proper), "character": list(chi_expected)},
+                {"invariants": str(got_proper), "character": list(chi)},
                 f"proper value group is not S{lam} mod {m}",
             )
         )
@@ -862,7 +865,7 @@ def _ut2_factor_table(
     cyclic of ell, plus (lam_1 - lam_2 + 1) copies of S(lam) mod m for
     each partition lam of n with at most three rows, lam_2 >= 1 and
     lam_3 <= 1."""
-    report = drensky_filtration(model, n)
+    report = _drensky(model, n)
     total = report.head_invariants
     for f in report.factors:
         total = total.direct_sum(f.invariants)
@@ -880,7 +883,7 @@ def _ut2_factor_table(
         )
     return _outcome(
         "ut2.codim", f"{model.label} factor table", n,
-        _inv_str(expected), _inv_str(total),
+        str(expected), str(total),
         "filtration total does not match the multiplicity table",
     )
 
@@ -900,6 +903,13 @@ def verify_grassmann(
     label = f"grassmann({ell},*)"
     basis = grassmann_identity_basis(ell)
     probe = grassmann(ell, 5)
+    degrees = range(2, min(n_max, GRASSMANN_N_MAX) + 1)
+    for model, n in (
+        [(probe, f.degree) for f in basis]
+        + [(grassmann(ell, n + k), n) for n in degrees for k in (1, 2)]
+        + [(grassmann(ell, t + 1), t) for t in range(2, proper_n_max + 1)]
+    ):
+        _check_budget(model, n, row_budget)
     out.append(
         _outcome(
             "grassmann.codim", f"{label} identities vanish", None,
@@ -915,7 +925,7 @@ def verify_grassmann(
             "identity basis element outside the kernel lattice",
         )
     )
-    for n in range(2, min(n_max, GRASSMANN_N_MAX) + 1):
+    for n in degrees:
         expected = cyclic_invariants(ell).power(2 ** (n - 1))
         at_k = ordinary_codim(
             grassmann(ell, n + 1), n, row_budget=row_budget
@@ -926,14 +936,14 @@ def verify_grassmann(
         out.append(
             _outcome(
                 "grassmann.codim", f"{label} K={n + 1}", n,
-                _inv_str(expected), _inv_str(at_k),
+                str(expected), str(at_k),
                 "codimension formula fails at the standard truncation",
             )
         )
         out.append(
             _outcome(
                 "grassmann.codim", f"{label} stabilization", n,
-                _inv_str(at_k), _inv_str(at_k1),
+                str(at_k), str(at_k1),
                 f"invariants changed between K={n + 1} and K={n + 2}",
             )
         )
@@ -964,16 +974,16 @@ def verify_grassmann(
                 if ell == 0
                 else tuple(0 for _ in partitions(t))
             )
-        chi = proper_quotient_character(model, t, t, row_budget)
+        chi = proper_quotient_character(model, t, t, row_budget=row_budget)
         out.append(
             _outcome(
                 "grassmann.codim", f"{label} proper", t,
-                {"invariants": _inv_str(expected), "character": list(chi_expected)},
-                {"invariants": _inv_str(got), "character": list(chi)},
+                {"invariants": str(expected), "character": list(chi_expected)},
+                {"invariants": str(got), "character": list(chi)},
                 "proper value group is off the alternating pattern",
             )
         )
-    for n in range(2, min(n_max, GRASSMANN_N_MAX) + 1):
+    for n in degrees:
         hooks = [(n - k,) + (1,) * k for k in range(n)]
         expected_ranks = [hook_number(lam) for lam in hooks]
         ranks = [specht_lattice(pair(lam, lam)).rank for lam in hooks]
@@ -1010,9 +1020,10 @@ def verify_field_props(
     out = []
     bound = min(n_max, degree_bound(model))
     for n in range(1, bound + 1):
-        budget = _budget(row_budget)
-        inv = _ordinary_invariants(model, n, budget)
-        vectors = [row for row, _ in _monomial_rows(model, n, budget)]
+        _check_budget(model, n, row_budget)
+    for n in range(1, bound + 1):
+        inv = _invariants(model, n, False)
+        vectors = [row for row, _ in _rows(model, n, False)]
         rank = field_rank(vectors, len(monomial_order(n)), p)
         target = inv.free_rank if p == 0 else inv.codim(p)
         out.append(
@@ -1033,7 +1044,7 @@ def verify_field_props(
             _outcome(
                 "field-props", f"{model.label} off-characteristic", n,
                 True, clean,
-                f"nonzero count away from the characteristic: {_inv_str(inv)}",
+                f"nonzero count away from the characteristic: {inv}",
             )
         )
     return out
@@ -1114,7 +1125,7 @@ def verify_young(
                         )
                         if f.invariants != want:
                             bad.append(
-                                [list(lam), list(f.label), _inv_str(f.invariants)]
+                                [list(lam), list(f.label), str(f.invariants)]
                             )
             out.append(
                 _outcome(
@@ -1186,11 +1197,13 @@ def _claim_young(config: dict) -> list[VerificationOutcome]:
 
 def _claim_drensky(config: dict) -> list[VerificationOutcome]:
     models = config.get("models") or [ut2(2, 2), grassmann(3, 4)]
-    out = []
+    degrees = range(2, min(config.get("n_max") or 4, 4) + 1)
     for model in models:
-        for n in range(2, min(config.get("n_max") or 4, 4) + 1):
-            out.extend(drensky_outcomes(model, n))
-    return out
+        for n in degrees:
+            _check_budget(model, n, config.get("row_budget"))
+    return [
+        oc for model in models for n in degrees for oc in drensky_outcomes(model, n)
+    ]
 
 
 def _claim_torsionfree(config: dict) -> list[VerificationOutcome]:

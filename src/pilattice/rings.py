@@ -409,6 +409,22 @@ def generator_tuples(model: RingModel, n: int) -> Iterator[tuple[int, ...]]:
     yield from rec((), 0)
 
 
+def tuple_count(model: RingModel, n: int) -> int:
+    """How many tuples ``generator_tuples(model, n)`` yields, counted over
+    (remaining length, used support) states instead of enumerated."""
+    masks = model.support_masks
+    if masks is None:
+        return len(model.generators) ** n
+
+    @lru_cache(maxsize=None)
+    def count(left: int, used: int) -> int:
+        if not left:
+            return 1
+        return sum(count(left - 1, used | m) for m in masks if not m & used)
+
+    return count(n, 0)
+
+
 # ---------------------------------------------------------------------------
 # built-in families
 # ---------------------------------------------------------------------------

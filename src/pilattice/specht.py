@@ -24,7 +24,6 @@ from .lattices import (
     LatticeBuilder,
     SubmoduleLattice,
     TransformBuilder,
-    lattice_quotient_invariants,
 )
 
 Partition = tuple[int, ...]
@@ -362,10 +361,6 @@ def polytabloid(p: PartitionPair, tableau: Tableau) -> TabloidVector:
     return TabloidVector.from_row(p.mu, _polytabloid_row(p.lam, p.mu, tableau))
 
 
-#: tableaux folded before the fixpoint cut, per pair (observational only)
-generation_counts: dict[PartitionPair, int] = {}
-
-
 @lru_cache(maxsize=None)
 def specht_lattice(p: PartitionPair) -> SubmoduleLattice:
     """Integer span of the polytabloids of all n! tableaux of shape mu.
@@ -384,10 +379,8 @@ def specht_lattice(p: PartitionPair) -> SubmoduleLattice:
     builder = LatticeBuilder(dim)
     maps = _transposition_maps(p.mu)
     idle, threshold = 0, 4
-    folded = 0
     for word in itertools.permutations(range(1, n + 1)):
         tableau = tuple(tuple(word[x - 1] for x in row) for row in base)
-        folded += 1
         if builder.add(_polytabloid_row(p.lam, p.mu, tableau)):
             idle = 0
             continue
@@ -397,7 +390,6 @@ def specht_lattice(p: PartitionPair) -> SubmoduleLattice:
                 break
             idle = 0
             threshold *= 2
-    generation_counts[p] = folded
     return builder.snapshot()
 
 
@@ -571,6 +563,43 @@ class FiltrationReport:
         }
 
 
+def _psi_split(p: PartitionPair):
+    """Apply psi_{c-1, lambda_c} to the basis of S(lambda; mu).
+
+    Returns (S, R_c(pair), A_c(pair), the fold of the psi images, the
+    kernel lattice, image == S(R_c(pair)), kernel == S(A_c(pair))); the
+    fold lifts image rows back to S.  Requires lambda != mu."""
+    c = find_c(p)
+    if c is None:
+        raise ValueError("lemma applies only when lambda != mu")
+    lam_pad = p.lam + (0,) * (len(p.mu) - len(p.lam))
+    v = lam_pad[c - 1]
+    S = specht_lattice(p)
+    r_pair, a_pair = op_R(c, p), op_A(c, p)
+    tb = TransformBuilder(len(tabloid_module_basis(r_pair.mu)))
+    for row in S.rows:
+        tb.add(_psi_row(p.mu, c - 1, v, row))
+    image = tb.image()
+    r_lattice = specht_lattice(r_pair)
+    image_ok = image.contains_lattice(r_lattice) and r_lattice.contains_lattice(image)
+    kernel = LatticeBuilder(S.ambient)
+    for rel in tb.kernel_rows:
+        vec = [0] * S.ambient
+        for j, coeff in rel.items():
+            src = S.rows[j]
+            for k in range(S.ambient):
+                vec[k] += coeff * src[k]
+        kernel.add(vec)
+    k_lattice = kernel.snapshot()
+    a_lattice = (
+        SubmoduleLattice.zero(S.ambient) if a_pair.is_zero else specht_lattice(a_pair)
+    )
+    kernel_ok = k_lattice.contains_lattice(a_lattice) and a_lattice.contains_lattice(
+        k_lattice
+    )
+    return S, r_pair, a_pair, tb, k_lattice, image_ok, kernel_ok
+
+
 def _lift_rows(
     tb: TransformBuilder, source_rows: Sequence[Sequence[int]], target: SubmoduleLattice
 ) -> list[list[int]]:
@@ -601,43 +630,18 @@ def specht_series(p: PartitionPair) -> FiltrationReport:
     series of the kernel yields the chain.  Both lattice identities are
     recomputed here and a mismatch raises (it would falsify the method).
     """
-    S = specht_lattice(p)
-    dim = S.ambient
-    c = find_c(p)
-    if c is None:
-        chain = (S, SubmoduleLattice.zero(dim))
-        inv = lattice_quotient_invariants(chain[0], chain[1])
+    if find_c(p) is None:
+        S = specht_lattice(p)
+        chain = (S, SubmoduleLattice.zero(S.ambient))
+        inv = chain[0].quotient_invariants(chain[1])
         return FiltrationReport(
             p.lam, p.mu, 0, chain, (FiltrationFactor(p.lam, inv, S.rank),)
         )
-    lam_pad = p.lam + (0,) * (len(p.mu) - len(p.lam))
-    v = lam_pad[c - 1]
-    r_pair = op_R(c, p)
-    a_pair = op_A(c, p)
-    nu_dim = len(tabloid_module_basis(r_pair.mu))
-    tb = TransformBuilder(nu_dim)
-    for row in S.rows:
-        tb.add(_psi_row(p.mu, c - 1, v, row))
-    image = tb.image()
-    r_lattice = specht_lattice(r_pair)
-    if not (image.contains_lattice(r_lattice) and r_lattice.contains_lattice(image)):
+    S, r_pair, a_pair, tb, k_lattice, image_ok, kernel_ok = _psi_split(p)
+    dim = S.ambient
+    if not image_ok:
         raise RuntimeError(f"psi image of {p} is not S({r_pair})")
-    kernel = LatticeBuilder(dim)
-    for rel in tb.kernel_rows:
-        vec = [0] * dim
-        for j, coeff in rel.items():
-            src = S.rows[j]
-            for k in range(dim):
-                vec[k] += coeff * src[k]
-        kernel.add(vec)
-    k_lattice = kernel.snapshot()
-    a_lattice = (
-        SubmoduleLattice.zero(dim) if a_pair.is_zero else specht_lattice(a_pair)
-    )
-    if not (
-        k_lattice.contains_lattice(a_lattice)
-        and a_lattice.contains_lattice(k_lattice)
-    ):
+    if not kernel_ok:
         raise RuntimeError(f"psi kernel on {p} is not S({a_pair})")
 
     r_report = specht_series(r_pair)
@@ -659,7 +663,7 @@ def specht_series(p: PartitionPair) -> FiltrationReport:
     for i, label in enumerate(labels):
         if not chain[i].contains_lattice(chain[i + 1]):
             raise RuntimeError("filtration chain is not nested")
-        inv = lattice_quotient_invariants(chain[i], chain[i + 1])
+        inv = chain[i].quotient_invariants(chain[i + 1])
         factors.append(
             FiltrationFactor(label, inv, chain[i].rank - chain[i + 1].rank)
         )
@@ -669,35 +673,7 @@ def specht_series(p: PartitionPair) -> FiltrationReport:
 def verify_psi_lemma(p: PartitionPair) -> tuple[bool, bool]:
     """(image matches S(R_c(pair)), kernel matches S(A_c(pair))) for the
     generating polytabloids of the pair; requires lambda != mu."""
-    c = find_c(p)
-    if c is None:
-        raise ValueError("lemma applies only when lambda != mu")
-    lam_pad = p.lam + (0,) * (len(p.mu) - len(p.lam))
-    v = lam_pad[c - 1]
-    S = specht_lattice(p)
-    r_pair, a_pair = op_R(c, p), op_A(c, p)
-    nu_dim = len(tabloid_module_basis(r_pair.mu))
-    tb = TransformBuilder(nu_dim)
-    for row in S.rows:
-        tb.add(_psi_row(p.mu, c - 1, v, row))
-    image = tb.image()
-    r_lattice = specht_lattice(r_pair)
-    image_ok = image.contains_lattice(r_lattice) and r_lattice.contains_lattice(image)
-    kernel = LatticeBuilder(S.ambient)
-    for rel in tb.kernel_rows:
-        vec = [0] * S.ambient
-        for j, coeff in rel.items():
-            src = S.rows[j]
-            for k in range(S.ambient):
-                vec[k] += coeff * src[k]
-        kernel.add(vec)
-    k_lattice = kernel.snapshot()
-    a_lattice = (
-        SubmoduleLattice.zero(S.ambient) if a_pair.is_zero else specht_lattice(a_pair)
-    )
-    kernel_ok = k_lattice.contains_lattice(a_lattice) and a_lattice.contains_lattice(
-        k_lattice
-    )
+    *_, image_ok, kernel_ok = _psi_split(p)
     return image_ok, kernel_ok
 
 
@@ -760,7 +736,7 @@ def induce_mod(lam: Partition, n: int, m: int) -> FiltrationReport:
     mod_chain = tuple(latt.sum_with(scaled) for latt in series.chain)
     factors = []
     for i, f in enumerate(series.factors):
-        inv = lattice_quotient_invariants(mod_chain[i], mod_chain[i + 1])
+        inv = mod_chain[i].quotient_invariants(mod_chain[i + 1])
         factors.append(
             FiltrationFactor(f.label, inv, mod_chain[i].rank - mod_chain[i + 1].rank)
         )

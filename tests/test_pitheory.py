@@ -36,7 +36,9 @@ from pilattice.pitheory import (
     verify_ut2,
     verify_young,
 )
-from pilattice.rings import RingModel, cyclic_ring, grassmann, ut2
+from pilattice.rings import (
+    RingModel, cyclic_ring, direct_sum, grassmann, tuple_count, ut2,
+)
 from pilattice.specht import specht_character
 
 
@@ -144,6 +146,40 @@ def test_budget_exceeded_carries_context():
     assert err.label == "ut2(2,2)" and err.n == 4
     assert err.needed > err.budget == 10
     assert "row budget" in str(err)
+
+
+def test_budget_threshold_is_exact_whatever_is_cached():
+    # tuple_count * rank rows pass and one less raises, on the monomial and
+    # on the proper side, before and after the rows are cached
+    entries = (
+        ordinary_codim, kernel_lattice,
+        proper_codim, proper_quotient_pair, proper_quotient_character,
+    )
+    for model in (ut2(6, 3), grassmann(5, 3), direct_sum(cyclic_ring(2), ut2(3, 3))):
+        needed = tuple_count(model, 3) * model.rank
+        for entry in entries:
+            for budget in (needed - 1, needed, None, needed - 1):
+                if budget == needed - 1:
+                    with pytest.raises(BudgetExceeded) as exc:
+                        entry(model, 3, row_budget=budget)
+                    assert (exc.value.needed, exc.value.budget) == (needed, budget)
+                else:
+                    entry(model, 3, row_budget=budget)
+
+
+def test_claims_check_the_budget_of_every_evaluation():
+    # the largest evaluation each claim makes: identity degree 4 for ut2.codim,
+    # the top degree for the others
+    cases = [
+        ("ut2.codim", {"subjects": [(2, 2)], "n_max": 3}, 3**4 * 3),
+        ("drensky", {"models": [ut2(2, 2)], "n_max": 3}, 3**3 * 3),
+        ("proper-ordinary", {"models": [cyclic_ring(4)], "n_max": 3}, 1),
+        ("field-props", {"models": [ut2(3, 3)], "n_max": 3}, 3**3 * 3),
+    ]
+    for claim, config, needed in cases:
+        with pytest.raises(BudgetExceeded):
+            run_claim(claim, dict(config, row_budget=needed - 1))
+        assert_all_passed(run_claim(claim, dict(config, row_budget=needed)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from pilattice.rings import (
     evaluate,
     generator_tuples,
     grassmann,
+    tuple_count,
     ut2,
 )
 
@@ -175,6 +176,18 @@ def test_generator_tuples_prune_overlapping_supports():
         masks = [grassmann(3, 3).support_masks[i] for i in tup]
         assert masks[0] & masks[1] == 0
         assert (masks[0] | masks[1]) & masks[2] == 0
+
+
+def test_tuple_count_matches_enumeration():
+    models = [grassmann(3, k) for k in range(6)] + [
+        ut2(2, 2),
+        cyclic_ring(5),
+        direct_sum(ut2(2, 2), cyclic_ring(3)),
+        direct_sum(grassmann(3, 2), cyclic_ring(5)),
+    ]
+    for model in models:
+        for n in range(5):
+            assert tuple_count(model, n) == sum(1 for _ in generator_tuples(model, n))
 
 
 # ---------------------------------------------------------------------------
