@@ -174,14 +174,6 @@ class SubmoduleLattice(_Echelon):
         eye = tuple(tuple(int(i == j) for j in range(ambient)) for i in range(ambient))
         return cls(ambient, eye, tuple(range(ambient)))
 
-    @classmethod
-    def scaled(cls, ambient: int, scale: int) -> "SubmoduleLattice":
-        if scale == 0:
-            return cls.zero(ambient)
-        scale = abs(scale)
-        rows = tuple(tuple(scale * (i == j) for j in range(ambient)) for i in range(ambient))
-        return cls(ambient, rows, tuple(range(ambient)))
-
     @property
     def rank(self) -> int:
         return len(self.rows)
@@ -228,17 +220,14 @@ class SubmoduleLattice(_Echelon):
             tb.add(r)
         for r in other.rows:
             tb.add([-c for c in r])
-        out = LatticeBuilder(self.ambient)
         n1 = len(self.rows)
-        for rel in tb.kernel_rows:
-            vec = [0] * self.ambient
-            for idx, c in rel.items():
-                if idx < n1:
-                    row = self.rows[idx]
-                    for k in range(self.ambient):
-                        vec[k] += c * row[k]
-            out.add(vec)
-        return out.snapshot()
+        return SubmoduleLattice.from_rows(
+            self.ambient,
+            (
+                _combine([(i, c) for i, c in rel.items() if i < n1], self.rows, self.ambient)
+                for rel in tb.kernel_rows
+            ),
+        )
 
     def quotient_invariants(self, inner: "SubmoduleLattice") -> "AbelianInvariants":
         """Invariants of self/inner; raises if inner is not contained."""
@@ -377,6 +366,15 @@ def kernel_basis(rows: Sequence[Row], ambient: int) -> list[list[int]]:
             vec[idx] = c
         out.append(vec)
     return [list(r) for r in LatticeBuilder(ambient, out).snapshot().rows]
+
+
+def _combine(terms: Iterable[tuple[int, int]], rows: Sequence[Row], ambient: int) -> list[int]:
+    """The vector sum c * rows[i] over the (i, c) pairs of ``terms``."""
+    vec = [0] * ambient
+    for i, c in terms:
+        if c:
+            vec = [a + c * x for a, x in zip(vec, rows[i])]
+    return vec
 
 
 def smith_normal_form(rows: Sequence[Row], ambient: int) -> list[int]:
@@ -644,47 +642,48 @@ def _clean_rows(
 def _restricted_torsion(rows: Iterable[tuple[Row, int]], columns: int) -> tuple:
     """Prelude shared by ``image_invariants`` and ``evaluation_kernel``.
 
-    Returns (h0, nbasis, level, scaled): h0 is the Hermite form of the
-    free (m = 0) rows; nbasis a basis of their common kernel N; level the
-    lcm of the torsion moduli; and scaled holds each torsion row restricted
-    to N and scaled into Z/level, zero restrictions dropped.  Without
-    torsion rows N is not computed (nbasis is None).
+    Returns (h0, nbasis, level, hl): h0 is the Hermite form of the free
+    (m = 0) rows; nbasis a basis of their common kernel N; level the lcm
+    of the torsion moduli; and hl the Hermite form of the torsion rows
+    restricted to N and scaled into Z/level, so that a vector u of
+    N-coordinates satisfies every torsion row iff hl @ u == 0 (mod level).
+    Without torsion rows N is not computed (nbasis and hl are None).
     """
     free, tors = _clean_rows(rows)
     h0 = hnf(free, columns) if free else ()
     if not tors:
-        return h0, None, 0, []
+        return h0, None, 0, None
     nbasis = kernel_basis(h0, columns)
     level = lcm(*[m for _, m in tors])
-    scaled = []
+    hl = LatticeBuilder(len(nbasis))
     for vec, m in tors:
         s = level // m
         b = [s * sum(nb[j] * vec[j] for j in range(columns)) % level for nb in nbasis]
         if any(b):
-            scaled.append(b)
-    return h0, nbasis, level, scaled
+            hl.add(b)
+    return h0, nbasis, level, hl.snapshot()
 
 
 def image_invariants(rows: Iterable[tuple[Row, int]], columns: int) -> AbelianInvariants:
     """Invariants of the image of the evaluation map Z^columns -> prod Z/m_i.
 
     Each element of ``rows`` is a pair (vector, m): one linear functional
-    landing in Z/m (m = 0 means Z).  The image is computed through its dual
-    description: the free rows contribute rank, and the torsion constraints,
-    restricted to the kernel of the free part, define a finite quotient
-    that is read off one scaled dual lattice.
+    landing in Z/m (m = 0 means Z).  The free rows contribute their rank.
+    The torsion part is the subgroup of (Z/level)^dim(N) spanned by the
+    rows of the restricted Hermite form hl; a Smith diagonal d_1 | ... | d_k
+    of hl makes it the sum of Z/(level / gcd(d_i, level)) (Storjohann and
+    Mulders, "Fast algorithms for linear algebra modulo N", 1998).
 
     >>> image_invariants([([1, 0], 2), ([0, 1], 2)], 2)
     AbelianInvariants(torsion=(2, 2), free_rank=0)
     >>> image_invariants([([0, 0], 7)], 2)      # zero map: trivial image
     AbelianInvariants(torsion=(), free_rank=0)
     """
-    h0, nbasis, level, scaled = _restricted_torsion(rows, columns)
-    if not scaled:
+    h0, _, level, hl = _restricted_torsion(rows, columns)
+    if hl is None:
         return AbelianInvariants((), len(h0))
-    big = SubmoduleLattice.scaled(len(nbasis), level)
-    hl = LatticeBuilder(big.ambient, [*big.rows, *scaled]).snapshot()
-    return AbelianInvariants(hl.quotient_invariants(big).torsion, len(h0))
+    orders = [level // gcd(d, level) for d in smith_normal_form(hl.rows, hl.ambient)]
+    return AbelianInvariants(tuple(reversed([d for d in orders if d > 1])), len(h0))
 
 
 def evaluation_kernel(rows: Iterable[tuple[Row, int]], columns: int) -> SubmoduleLattice:
@@ -693,40 +692,17 @@ def evaluation_kernel(rows: Iterable[tuple[Row, int]], columns: int) -> Submodul
     This is the relation lattice of the image computed by
     ``image_invariants``: Z^columns / kernel is isomorphic to the image.
     """
-    h0, nbasis, level, scaled = _restricted_torsion(rows, columns)
-    if nbasis is None:
-        nbasis = kernel_basis(h0, columns)
-    if not scaled:
-        return SubmoduleLattice.from_rows(columns, nbasis)
-    cp = len(nbasis)
-    hl = LatticeBuilder(cp, scaled).snapshot()
-    r = hl.rank
-    # u in K' iff Hl @ u is divisible by `level` coordinatewise: right-kernel
-    # of [Hl | level*I] projected onto the u block.
-    stacked = [list(row) for row in hl.rows]
-    width = cp + r
-    tb = TransformBuilder(r)
-    kp: list[list[int]] = []
-    for j in range(width):
-        if j < cp:
-            col = [stacked[i][j] for i in range(r)]
-        else:
-            col = [level * int(i == j - cp) for i in range(r)]
-        tb.add(col)
-    for rel in tb.kernel_rows:
-        u = [rel.get(j, 0) for j in range(cp)]
-        if any(u):
-            kp.append(u)
-    out = LatticeBuilder(columns)
-    for u in kp:
-        vec = [0] * columns
-        for i, c in enumerate(u):
-            if c:
-                nb = nbasis[i]
-                for k in range(columns):
-                    vec[k] += c * nb[k]
-        out.add(vec)
-    return out.snapshot()
+    h0, nbasis, level, hl = _restricted_torsion(rows, columns)
+    if hl is None:
+        return SubmoduleLattice.from_rows(columns, kernel_basis(h0, columns))
+    cp, r = hl.ambient, hl.rank
+    # u in the kernel iff hl @ u is divisible by `level` coordinatewise: the
+    # right kernel of [hl | level*I] projected onto the u block.
+    stacked = [[*row, *(level * (i == k) for k in range(r))] for i, row in enumerate(hl.rows)]
+    relations = kernel_basis(stacked, cp + r)
+    return SubmoduleLattice.from_rows(
+        columns, (_combine(enumerate(rel[:cp]), nbasis, columns) for rel in relations)
+    )
 
 
 def field_rank(rows: Iterable[Row], columns: int, q: int = 0) -> int:
@@ -792,9 +768,3 @@ def json_restore_int(value):
     if isinstance(value, (list, tuple)):
         return [json_restore_int(v) for v in value]
     return value
-
-def matrix_to_json(rows: Iterable[Row]) -> list[list]:
-    return [[json_sanitize(int(c)) for c in row] for row in rows]
-
-def matrix_from_json(data) -> list[list[int]]:
-    return [[int(c) for c in row] for row in data]

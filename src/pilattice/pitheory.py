@@ -85,6 +85,8 @@ def degree_bound(model: RingModel) -> int:
 
 
 def _check_degree(model: RingModel, n: int, n_bound: int | None) -> None:
+    if n < 1:
+        raise ValueError(f"degree n={n} is below 1; multilinear degrees start at 1")
     bound = degree_bound(model) if n_bound is None else n_bound
     if n > bound:
         raise ValueError(

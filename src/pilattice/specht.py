@@ -24,6 +24,7 @@ from .lattices import (
     LatticeBuilder,
     SubmoduleLattice,
     TransformBuilder,
+    _combine,
 )
 
 Partition = tuple[int, ...]
@@ -582,15 +583,9 @@ def _psi_split(p: PartitionPair):
     image = tb.image()
     r_lattice = specht_lattice(r_pair)
     image_ok = image.contains_lattice(r_lattice) and r_lattice.contains_lattice(image)
-    kernel = LatticeBuilder(S.ambient)
-    for rel in tb.kernel_rows:
-        vec = [0] * S.ambient
-        for j, coeff in rel.items():
-            src = S.rows[j]
-            for k in range(S.ambient):
-                vec[k] += coeff * src[k]
-        kernel.add(vec)
-    k_lattice = kernel.snapshot()
+    k_lattice = SubmoduleLattice.from_rows(
+        S.ambient, (_combine(rel.items(), S.rows, S.ambient) for rel in tb.kernel_rows)
+    )
     a_lattice = (
         SubmoduleLattice.zero(S.ambient) if a_pair.is_zero else specht_lattice(a_pair)
     )
@@ -611,12 +606,7 @@ def _lift_rows(
         combo = tb.solve(u)
         if combo is None:
             raise RuntimeError("filtration lift failed: image lattice mismatch")
-        vec = [0] * ambient
-        for j, c in combo.items():
-            src = source_rows[j]
-            for k in range(ambient):
-                vec[k] += c * src[k]
-        out.append(vec)
+        out.append(_combine(combo.items(), source_rows, ambient))
     return out
 
 

@@ -133,6 +133,7 @@ def test_codim_csv(capsys):
         ["codim", "--ring", "grassmann:3,4", "--n", "5"],
         ["codim", "--ring", "nope:1", "--n", "2"],
         ["codim", "--ring", "@/does/not/exist.json", "--n", "2"],
+        ["codim", "--ring", "cyclic:4", "--n", "0..2"],
     ],
 )
 def test_codim_usage_errors(argv, capsys):

@@ -214,6 +214,10 @@ def test_image_invariants_frozen():
     assert inv.free_rank == 1 and inv.torsion == (2,)
     # x -> (x mod 2, x mod 3) generates all of Z/6
     assert image_invariants([((1,), 2), ((1,), 3)], 1).order() == 6
+    # Z/4 x Z/6 as one divisibility chain, smallest factor first
+    assert image_invariants([((1, 0), 4), ((0, 1), 6)], 2) == AbelianInvariants((2, 12), 0)
+    # one all-ones functional mod 6 on 120 columns (cyclic(6) at n = 5)
+    assert image_invariants([((1,) * 120, 6)], 120) == AbelianInvariants((6,), 0)
     with pytest.raises(ValueError):
         image_invariants([((1,), -2)], 1)
 
@@ -397,16 +401,23 @@ def test_image_order_matches_bruteforce(gens):
     assert inv.order() == brute_image_order(gens, moduli)
 
 
-@given(pair_rows)
-def test_kernel_index_equals_image_order(gens):
-    moduli = (4, 6)
+# target moduli: free (0), prime, prime-power and mixed torsion
+pair_moduli = st.tuples(*[st.sampled_from((0, 2, 3, 4, 6, 8, 9, 12, 30))] * 2)
+
+
+@given(pair_rows, pair_moduli)
+def test_kernel_index_equals_image_order(gens, moduli):
     functionals = subgroup_functionals(gens, moduli)
     ker = evaluation_kernel(functionals, len(gens))
     for v in ker.rows:
         for vec, m in functionals:
-            assert sum(a * b for a, b in zip(v, vec)) % m == 0
+            val = sum(a * b for a, b in zip(v, vec))
+            assert val % m == 0 if m else val == 0
     inv = cokernel_invariants([list(r) for r in ker.rows], len(gens))
-    assert inv.order() == brute_image_order(gens, moduli)
+    # the image read off the Smith diagonal is Z^columns / kernel
+    assert image_invariants(functionals, len(gens)) == inv
+    if all(moduli):
+        assert inv.order() == brute_image_order(gens, moduli)
 
 
 @given(pair_rows)

@@ -137,6 +137,12 @@ def test_degree_bounds():
         ordinary_codim(ut2(2, 2), 5, n_bound=4)
     # an explicit bound opens degrees the default would refuse
     assert kernel_lattice(ut2(2, 2), 3, n_bound=3).ambient == 6
+    # multilinear degrees start at 1 (proper_codim answers n = 0 itself)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="below 1"):
+            kernel_lattice(ut2(2, 2), n)
+        with pytest.raises(ValueError, match="below 1"):
+            ordinary_codim(cyclic_ring(4), n)
 
 
 def test_budget_exceeded_carries_context():
