@@ -17,7 +17,7 @@ import sys
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-from .lattices import json_sanitize
+from .lattices import AbelianInvariants, json_sanitize
 from .pitheory import (
     CLAIMS,
     BudgetExceeded,
@@ -161,6 +161,19 @@ def parse_n_range(text: str) -> tuple[int, ...]:
     return (int(text),)
 
 
+def _int_at_least(lo: int):
+    """argparse type: an integer option with a lower bound."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def parse_partition(text: str) -> tuple[int, ...]:
     parts = tuple(int(p) for p in text.split(",") if p.strip())
     if not is_partition(parts) or not parts:
@@ -212,40 +225,30 @@ def cmd_codim(args) -> int:
         raise ValueError(
             f"degree {max(degrees)} exceeds the bound {bound} for {model.label}"
         )
+    if args.q is not None:
+        AbelianInvariants((), 0).codim(args.q)  # reject a bad q before evaluating
     config = RunConfig(
         command="codim", ring=args.ring, n=degrees, q=args.q, k=args.k,
         output=args.output, format=args.format, seed=args.seed,
         row_budget=args.row_budget, timings=args.timings,
     )
-    reports = [
-        ordinary_codim(
+    docs, rows = [], []
+    for n in degrees:
+        rep = ordinary_codim(
             model, n, include_proper=args.proper, row_budget=args.row_budget
         )
-        for n in degrees
-    ]
-    docs = []
-    for rep in reports:
         doc = rep.to_json(timings=args.timings)
-        if args.q is not None:
-            doc["q"] = args.q
-            doc["ordinary_count"] = rep.ordinary.codim(args.q)
-            if rep.proper is not None:
-                doc["proper_count"] = rep.proper.codim(args.q)
+        for kind in ("ordinary", "proper"):
+            inv = getattr(rep, kind)
+            if inv is None:
+                continue
+            count = ""
+            if args.q is not None:
+                doc["q"] = args.q
+                count = doc[f"{kind}_count"] = inv.codim(args.q)
+            rows.append([rep.ring_label, n, kind, *_invariant_cells(doc[kind]), count])
         docs.append(doc)
     header = ["ring", "n", "kind", "free_rank", "torsion", "count_at_q"]
-    rows = []
-    for rep, doc in zip(reports, docs):
-        free, torsion = _invariant_cells(doc["ordinary"])
-        rows.append(
-            [rep.ring_label, rep.n, "ordinary", free, torsion,
-             doc.get("ordinary_count", "")]
-        )
-        if doc["proper"] is not None:
-            free, torsion = _invariant_cells(doc["proper"])
-            rows.append(
-                [rep.ring_label, rep.n, "proper", free, torsion,
-                 doc.get("proper_count", "")]
-            )
     _emit(
         config,
         {
@@ -290,6 +293,8 @@ def cmd_verify(args) -> int:
         )
     config = _verify_config(args)
     outcomes = run_claim(args.claim, config)
+    if not outcomes:
+        raise ValueError(f"claim {args.claim!r} selects no checks with these options")
     failed = [oc for oc in outcomes if not oc.passed]
     run_config = RunConfig(
         command="verify", claim=args.claim, ring=args.ring, n_max=args.n_max,
@@ -404,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     codim.add_argument(
         "--k", type=int, default=None, help="override the grassmann truncation"
     )
-    codim.add_argument("--row-budget", type=int, default=None)
+    codim.add_argument("--row-budget", type=_int_at_least(0), default=None)
     codim.add_argument(
         "--timings", action="store_true",
         help="include wall-clock fields (report is no longer byte-stable)",
@@ -414,11 +419,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run a registered verification claim")
     verify.add_argument("claim", help=", ".join(sorted(CLAIMS)))
-    verify.add_argument("--n-max", type=int, default=None)
+    verify.add_argument("--n-max", type=_int_at_least(1), default=None)
     verify.add_argument(
         "--ring", default=None, help="narrow the claim to one ring model"
     )
-    verify.add_argument("--row-budget", type=int, default=None)
+    verify.add_argument("--row-budget", type=_int_at_least(0), default=None)
     _add_common(verify)
     verify.set_defaults(handler=cmd_verify)
 

@@ -99,17 +99,12 @@ def _check_degree(model: RingModel, n: int, n_bound: int | None) -> None:
 # evaluation functionals
 # ---------------------------------------------------------------------------
 
-def evaluation_functionals(
-    model: RingModel,
-    n: int,
-    polys: Sequence[Sequence[tuple[int, int]]] | None = None,
-) -> list[Functional]:
+def evaluation_functionals(model: RingModel, n: int) -> list[Functional]:
     """Linear functionals describing all degree-n substitutions.
 
-    Columns index the n! monomials -- or ``polys``, given as sparse
-    integer combinations ``[(monomial index, coeff), ...]`` of them.
-    Every generator tuple contributes one functional per ring coordinate
-    it touches, valued in Z/(modulus of that coordinate).  Rows are
+    Columns index the n! monomials in ``monomial_order(n)``.  Every
+    generator tuple contributes one functional per ring coordinate it
+    touches, valued in Z/(modulus of that coordinate).  Rows are
     deduplicated up to sign, which changes neither the subgroup they
     generate nor their common kernel.
     """
@@ -138,11 +133,7 @@ def evaluation_functionals(
             prev = word
         support = sorted(set().union(*values))
         for k in support:
-            mono = [val.get(k, 0) for val in values]
-            if polys is None:
-                row = mono
-            else:
-                row = [sum(c * mono[i] for i, c in poly) for poly in polys]
+            row = [val.get(k, 0) for val in values]
             for x in row:
                 if x:
                     if x < 0:
@@ -179,13 +170,15 @@ def _columns(n: int, proper: bool) -> int:
 
 @lru_cache(maxsize=None)
 def _rows(model: RingModel, n: int, proper: bool) -> tuple[Functional, ...]:
-    polys = None
-    if proper:
-        polys = tuple(
-            tuple((i, c) for i, c in enumerate(row) if c)
-            for row in proper_basis(n).matrix
-        )
-    return tuple(evaluation_functionals(model, n, polys))
+    if not proper:
+        return tuple(evaluation_functionals(model, n))
+    # a proper functional is an ordinary one restricted to the proper
+    # basis; zero and repeated rows are left to the lattice layer
+    basis = [[(i, c) for i, c in enumerate(b) if c] for b in proper_basis(n).matrix]
+    return tuple(
+        (tuple(sum(c * row[i] for i, c in b) for b in basis), m)
+        for row, m in _rows(model, n, False)
+    )
 
 
 @lru_cache(maxsize=None)

@@ -134,6 +134,7 @@ def test_codim_csv(capsys):
         ["codim", "--ring", "nope:1", "--n", "2"],
         ["codim", "--ring", "@/does/not/exist.json", "--n", "2"],
         ["codim", "--ring", "cyclic:4", "--n", "0..2"],
+        ["codim", "--ring", "ut2:2,2", "--n", "2", "--q", "6"],
     ],
 )
 def test_codim_usage_errors(argv, capsys):
@@ -153,6 +154,23 @@ def test_verify_budget_exit(capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "ut2(2,2) at n=2" in err and "budget of 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["codim", "--ring", "ut2:2,2", "--n", "2", "--row-budget", "-5"],
+        ["verify", "drensky", "--row-budget", "-5"],
+        ["verify", "young", "--n-max", "0"],
+        ["verify", "young", "--n-max", "-1"],
+    ],
+)
+def test_out_of_range_options_exit_one(argv, capsys):
+    # malformed input, not a budget abort or a silent default
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "must be at least" in capsys.readouterr().err
 
 
 def test_missing_arguments_exit_one():
@@ -202,6 +220,11 @@ def test_verify_usage_errors(capsys):
     assert main(["verify", "young", "--ring", "cyclic:2"]) == 1
     assert main(["verify", "ut2.codim", "--ring", "cyclic:2"]) == 1
     capsys.readouterr()
+    # both claims start at degree 2, so --n-max 1 leaves nothing to verify
+    for claim in ("drensky", "young"):
+        assert main(["verify", claim, "--n-max", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "selects no checks" in captured.err
 
 
 def test_verify_csv(capsys, monkeypatch):

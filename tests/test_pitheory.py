@@ -1,10 +1,16 @@
 """Evaluation functionals, codimension groups, identity lattices, and the
 registered verification claims on the built-in ring families."""
 
+import itertools
+from functools import lru_cache
+
 import pytest
 
-from pilattice.lattices import AbelianInvariants
-from pilattice.multilinear import MultilinearPoly, bracket_poly, monomial_order
+from pilattice import pitheory
+from pilattice.lattices import AbelianInvariants, evaluation_kernel, image_invariants
+from pilattice.multilinear import (
+    MultilinearPoly, bracket_poly, monomial_order, proper_basis,
+)
 from pilattice.pitheory import (
     BudgetExceeded,
     CLAIMS,
@@ -37,7 +43,7 @@ from pilattice.pitheory import (
     verify_young,
 )
 from pilattice.rings import (
-    RingModel, cyclic_ring, direct_sum, grassmann, tuple_count, ut2,
+    RingModel, cyclic_ring, direct_sum, evaluate, grassmann, tuple_count, ut2,
 )
 from pilattice.specht import specht_character
 
@@ -120,6 +126,56 @@ def test_codim_report_shape():
     assert set(doc) == {"ring", "n", "ordinary", "proper", "per_q"}
     assert doc["per_q"]["ordinary"] == {"2": 2}
     assert "timing_ms" in report.to_json(timings=True)
+
+
+# ---------------------------------------------------------------------------
+# proper functionals
+# ---------------------------------------------------------------------------
+
+def test_one_evaluation_per_model_and_degree(monkeypatch):
+    # the proper rows are read off the ordinary ones: fresh caches, one walk
+    calls = []
+    evaluate_all = pitheory.evaluation_functionals
+    monkeypatch.setattr(
+        pitheory, "evaluation_functionals",
+        lambda *args: calls.append(args) or evaluate_all(*args),
+    )
+    for name in ("_rows", "_invariants", "_kernel"):
+        fresh = lru_cache(maxsize=None)(getattr(pitheory, name).__wrapped__)
+        monkeypatch.setattr(pitheory, name, fresh)
+    model = ut2(2, 2)
+    ordinary_codim(model, 4, include_proper=True)
+    proper_quotient_pair(model, 4)
+    assert calls == [(model, 4)]
+
+
+def proper_rows_by_substitution(model, n):
+    """Proper functionals straight from the definition: every basis
+    element evaluated on every generator tuple, one row per coordinate."""
+    polys = [e.expand() for e in proper_basis(n).elements]
+    gens = model.generator_elements()
+    rows = []
+    for tup in itertools.product(gens, repeat=n):
+        values = [evaluate(f, tup).coords for f in polys]
+        for k, m in enumerate(model.moduli):
+            rows.append(([v[k] for v in values], m))
+    return rows, len(polys)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        ut2(2, 2), ut2(0, 0), cyclic_ring(6), grassmann(3, 3),
+        direct_sum(ut2(2, 2), cyclic_ring(3)),
+    ],
+    ids=lambda model: model.label,
+)
+def test_proper_functionals_match_substitution(model):
+    for n in (2, 3, 4):
+        rows, columns = proper_rows_by_substitution(model, n)
+        assert image_invariants(rows, columns) == proper_codim(model, n)
+        kernel = evaluation_kernel(rows, columns)
+        assert kernel.rows == pitheory._kernel(model, n, True).rows
 
 
 # ---------------------------------------------------------------------------
