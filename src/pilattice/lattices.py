@@ -14,6 +14,7 @@ map acts on the right (``v @ M``).  Matrices are plain ``list[list[int]]``
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd, lcm, prod
 from typing import Callable, Iterable, Sequence
@@ -112,24 +113,29 @@ class LatticeBuilder(_Echelon):
     def rank(self) -> int:
         return len(self.rows)
 
-    def _back_reduce(self) -> None:
-        # increasing pivot order: rows are echelon, so reducing against a
-        # later pivot never reintroduces entries in an earlier pivot column
-        for i in range(len(self.rows)):
-            p = self.rows[i][self.pivots[i]]
-            for k in range(i):
-                q = self.rows[k][self.pivots[i]] // p
-                if q:
-                    self.rows[k] = [a - q * b for a, b in zip(self.rows[k], self.rows[i])]
-
     def snapshot(self) -> "SubmoduleLattice":
         """Canonical Hermite form of the accumulated lattice."""
-        self._back_reduce()
-        return SubmoduleLattice(
-            self.ambient,
-            tuple(tuple(r) for r in self.rows),
-            tuple(self.pivots),
-        )
+        return _hermite(self.ambient, self.rows, self.pivots)
+
+
+def _hermite(
+    ambient: int, rows: Sequence[Row], pivots: Sequence[int]
+) -> SubmoduleLattice:
+    """Canonical Hermite form of echelon ``rows`` with the given pivots.
+
+    Entries above each pivot are reduced into [0, pivot) in increasing pivot
+    order: rows are echelon, so reducing against a later pivot never
+    reintroduces entries in an earlier pivot column.  Tuple rows that need
+    no reduction are shared with the result, not copied.
+    """
+    rows = list(rows)
+    for i, j in enumerate(pivots):
+        r = rows[i]
+        for k in range(i):
+            q = rows[k][j] // r[j]
+            if q:
+                rows[k] = [a - q * b for a, b in zip(rows[k], r)]
+    return SubmoduleLattice(ambient, tuple(map(tuple, rows)), tuple(pivots))
 
 
 def hnf(rows: Iterable[Row], ambient: int | None = None) -> tuple[tuple[int, ...], ...]:
@@ -212,22 +218,13 @@ class SubmoduleLattice(_Echelon):
         return SubmoduleLattice.from_rows(self.ambient, list(self.rows) + list(other.rows))
 
     def intersect(self, other: "SubmoduleLattice") -> "SubmoduleLattice":
-        """Intersection, via relations between the two row families."""
+        """Intersection: the tails a of the relations between the rows
+        [a | a] of self and [b | 0] of other, where a + b = 0."""
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
-        tb = TransformBuilder(self.ambient)
-        for r in self.rows:
-            tb.add(r)
-        for r in other.rows:
-            tb.add([-c for c in r])
-        n1 = len(self.rows)
-        return SubmoduleLattice.from_rows(
-            self.ambient,
-            (
-                _combine([(i, c) for i, c in rel.items() if i < n1], self.rows, self.ambient)
-                for rel in tb.kernel_rows
-            ),
-        )
+        zero = (0,) * self.ambient
+        pairs = [*((a, a) for a in self.rows), *((b, zero) for b in other.rows)]
+        return split_hnf(pairs, self.ambient, self.ambient)[2]
 
     def quotient_invariants(self, inner: "SubmoduleLattice") -> "AbelianInvariants":
         """Invariants of self/inner; raises if inner is not contained."""
@@ -254,97 +251,43 @@ class SubmoduleLattice(_Echelon):
         return tr
 
 
-class TransformBuilder:
-    """Row-HNF fold that additionally tracks how each basis row and each
-    discovered relation is expressed in terms of the input rows.
+def split_hnf(
+    pairs: Iterable[tuple[Row, Row]], head: int, tail: int
+) -> tuple[LatticeBuilder, SubmoduleLattice, SubmoduleLattice]:
+    """One echelon fold of the rows [h | t] for the (h, t) in ``pairs``.
 
-    Combination coefficients are kept as sparse dicts {input_index: coeff},
-    so feeding thousands of rows stays cheap.  ``kernel_rows`` accumulates
-    the left-kernel of the input matrix (complete once all rows are added).
+    Returns (whole, image, relations): ``image`` is the Hermite form of the
+    heads h in Z^head, ``relations`` the Hermite form of the tails
+    sum c_i t_i whose heads cancel (sum c_i h_i = 0) in Z^tail, and
+    ``whole`` the echelon fold left with only its head-pivot rows, against
+    which ``preimage`` lifts a vector of the image to a tail (Cohen, *A
+    Course in Computational Algebraic Number Theory*, 1993, 2.4).
+
+    >>> _, image, relations = split_hnf([([1, 2], [1, 0]), ([2, 4], [0, 1])], 2, 2)
+    >>> image.rows, relations.rows
+    (((1, 2),), ((2, -1),))
     """
+    whole = LatticeBuilder(head + tail, ([*h, *t] for h, t in pairs))
+    k = bisect_left(whole.pivots, head)
+    # a row whose pivot lies in the tail has a zero head; move each out
+    # as soon as its tail is copied
+    moved = []
+    while len(whole.rows) > k:
+        moved.append(tuple(whole.rows.pop()[head:]))
+    moved.reverse()
+    relations = _hermite(tail, moved, [j - head for j in whole.pivots[k:]])
+    del whole.pivots[k:]
+    image = _hermite(head, [tuple(r[:head]) for r in whole.rows], whole.pivots)
+    return whole, image, relations
 
-    __slots__ = ("ambient", "rows", "pivots", "combos", "kernel_rows", "_count")
 
-    def __init__(self, ambient: int):
-        self.ambient = ambient
-        self.rows: list[list[int]] = []
-        self.pivots: list[int] = []
-        self.combos: list[dict[int, int]] = []
-        self.kernel_rows: list[dict[int, int]] = []
-        self._count = 0
-
-    @staticmethod
-    def _axpy(d: dict[int, int], c: int, other: dict[int, int]) -> dict[int, int]:
-        if not c:
-            return d
-        out = dict(d)
-        for k, v in other.items():
-            nv = out.get(k, 0) + c * v
-            if nv:
-                out[k] = nv
-            else:
-                out.pop(k, None)
-        return out
-
-    def add(self, row: Row) -> int:
-        """Fold one row; returns the input index assigned to it."""
-        idx = self._count
-        self._count += 1
-        v = list(row)
-        combo = {idx: 1}
-        i = 0
-        while True:
-            j = next((c for c in range(self.ambient) if v[c]), None)
-            if j is None:
-                if combo:
-                    self.kernel_rows.append(combo)
-                return idx
-            while i < len(self.pivots) and self.pivots[i] < j:
-                i += 1
-            if i < len(self.pivots) and self.pivots[i] == j:
-                r, rc = self.rows[i], self.combos[i]
-                a, b = r[j], v[j]
-                if b % a == 0:
-                    q = b // a
-                    v = [x - q * y for x, y in zip(v, r)]
-                    combo = self._axpy(combo, -q, rc)
-                else:
-                    g, x, y = xgcd(a, b)
-                    self.rows[i] = [x * p + y * q for p, q in zip(r, v)]
-                    self.combos[i] = self._axpy(
-                        {k: x * c for k, c in rc.items() if x * c}, y, combo
-                    )
-                    v = [(a // g) * q - (b // g) * p for p, q in zip(r, v)]
-                    combo = self._axpy(
-                        {k: (a // g) * c for k, c in combo.items() if c}, -(b // g), rc
-                    )
-            else:
-                if v[j] < 0:
-                    v = [-c for c in v]
-                    combo = {k: -c for k, c in combo.items()}
-                self.rows.insert(i, v)
-                self.pivots.insert(i, j)
-                self.combos.insert(i, combo)
-                return idx
-
-    def image(self) -> SubmoduleLattice:
-        lb = LatticeBuilder(self.ambient)
-        for r in self.rows:
-            lb.add(r)
-        return lb.snapshot()
-
-    def solve(self, target: Row) -> dict[int, int] | None:
-        """Express ``target`` as a combination of the *input* rows."""
-        v = list(target)
-        combo: dict[int, int] = {}
-        for i, p in enumerate(self.pivots):
-            q, rem = divmod(v[p], self.rows[i][p])
-            if rem:
-                return None
-            if q:
-                v = [a - q * b for a, b in zip(v, self.rows[i])]
-                combo = self._axpy(combo, q, self.combos[i])
-        return combo if not any(v) else None
+def preimage(whole: LatticeBuilder, u: Row) -> list[int] | None:
+    """A tail t with [u | t] in the fold ``whole`` of ``split_hnf``, or None
+    when u is not in its image."""
+    v = whole.reduce([*u, *[0] * (whole.ambient - len(u))])
+    if any(v[: len(u)]):
+        return None
+    return [-c for c in v[len(u) :]]
 
 
 def kernel_basis(rows: Sequence[Row], ambient: int) -> list[list[int]]:
@@ -353,28 +296,15 @@ def kernel_basis(rows: Sequence[Row], ambient: int) -> list[list[int]]:
     The kernel of an integer matrix is a saturated lattice, so this basis
     spans it over Z, not merely over Q.
     """
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [[int(i == j) for j in range(ambient)] for i in range(ambient)]
-    tb = TransformBuilder(len(rows))
-    for j in range(ambient):
-        tb.add([rows[i][j] for i in range(len(rows))])
-    out: list[list[int]] = []
-    for rel in tb.kernel_rows:
-        vec = [0] * ambient
-        for idx, c in rel.items():
-            vec[idx] = c
-        out.append(vec)
-    return [list(r) for r in LatticeBuilder(ambient, out).snapshot().rows]
+    return [list(r) for r in _right_kernel(rows, ambient).rows]
 
 
-def _combine(terms: Iterable[tuple[int, int]], rows: Sequence[Row], ambient: int) -> list[int]:
-    """The vector sum c * rows[i] over the (i, c) pairs of ``terms``."""
-    vec = [0] * ambient
-    for i, c in terms:
-        if c:
-            vec = [a + c * x for a, x in zip(vec, rows[i])]
-    return vec
+def _right_kernel(rows: Sequence[Row], ambient: int) -> SubmoduleLattice:
+    """Hermite form of the right kernel: fold each column of the matrix
+    with the matching unit vector as its tail."""
+    columns = ([r[j] for r in rows] for j in range(ambient))
+    units = ([int(i == j) for i in range(ambient)] for j in range(ambient))
+    return split_hnf(zip(columns, units), len(rows), ambient)[2]
 
 
 def smith_normal_form(rows: Sequence[Row], ambient: int) -> list[int]:
@@ -594,13 +524,6 @@ def cokernel_invariants(relations: Sequence[Row], ambient: int) -> AbelianInvari
     return AbelianInvariants.from_diagonal(smith_normal_form(relations, ambient), ambient)
 
 
-def lattice_quotient_invariants(
-    outer: SubmoduleLattice, inner: SubmoduleLattice
-) -> AbelianInvariants:
-    """Invariants of outer/inner for nested sublattices of the same Z^ambient."""
-    return outer.quotient_invariants(inner)
-
-
 # ---------------------------------------------------------------------------
 # image of Z^c -> prod_i Z/m_i given by evaluation rows
 # ---------------------------------------------------------------------------
@@ -694,15 +617,16 @@ def evaluation_kernel(rows: Iterable[tuple[Row, int]], columns: int) -> Submodul
     """
     h0, nbasis, level, hl = _restricted_torsion(rows, columns)
     if hl is None:
-        return SubmoduleLattice.from_rows(columns, kernel_basis(h0, columns))
-    cp, r = hl.ambient, hl.rank
+        return _right_kernel(h0, columns)
     # u in the kernel iff hl @ u is divisible by `level` coordinatewise: the
-    # right kernel of [hl | level*I] projected onto the u block.
-    stacked = [[*row, *(level * (i == k) for k in range(r))] for i, row in enumerate(hl.rows)]
-    relations = kernel_basis(stacked, cp + r)
-    return SubmoduleLattice.from_rows(
-        columns, (_combine(enumerate(rel[:cp]), nbasis, columns) for rel in relations)
-    )
+    # right kernel of [hl | level*I], folded column by column with the N
+    # basis rows (zero for the level*I columns) as tails, so its relations
+    # come out in Z^columns.
+    r = hl.rank
+    pairs = [([row[k] for row in hl.rows], nb) for k, nb in enumerate(nbasis)]
+    zero = [0] * columns
+    pairs += [([level * (i == k) for i in range(r)], zero) for k in range(r)]
+    return split_hnf(pairs, r, columns)[2]
 
 
 def field_rank(rows: Iterable[Row], columns: int, q: int = 0) -> int:

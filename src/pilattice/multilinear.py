@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import Iterable, Iterator, Mapping
 
-from .lattices import LatticeBuilder, SubmoduleLattice, TransformBuilder
+from .lattices import LatticeBuilder, SubmoduleLattice, preimage, split_hnf
 
 Word = tuple[int, ...]
 
@@ -323,11 +323,7 @@ class ProperBasis:
     def coordinates(self, poly: MultilinearPoly) -> list[int] | None:
         """Coefficients of ``poly`` over ``elements``, or None if the
         polynomial is not in the proper lattice."""
-        solver = _proper_solver(self.n)
-        combo = solver.solve(poly.to_vector(self.n))
-        if combo is None:
-            return None
-        return [combo.get(i, 0) for i in range(len(self.elements))]
+        return preimage(_proper_solver(self.n), poly.to_vector(self.n))
 
     def contains(self, poly: MultilinearPoly) -> bool:
         return self.lattice.contains(poly.to_vector(self.n))
@@ -371,12 +367,12 @@ def proper_basis(n: int) -> ProperBasis:
 
 
 @lru_cache(maxsize=None)
-def _proper_solver(n: int) -> TransformBuilder:
-    basis = proper_basis(n)
-    tb = TransformBuilder(len(monomial_order(n)))
-    for row in basis.matrix:
-        tb.add(row)
-    return tb
+def _proper_solver(n: int) -> LatticeBuilder:
+    """The fold of the rows [basis row i | e_i], which lifts a proper
+    vector to its coordinates."""
+    matrix = proper_basis(n).matrix
+    units = ([int(i == j) for j in range(len(matrix))] for i in range(len(matrix)))
+    return split_hnf(zip(matrix, units), len(monomial_order(n)), len(matrix))[0]
 
 
 # ---------------------------------------------------------------------------

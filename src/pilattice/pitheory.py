@@ -1141,11 +1141,11 @@ GRASSMANN_SUBJECTS = (3, 5, 0)
 
 def _claim_ut2(config: dict) -> list[VerificationOutcome]:
     out = []
-    for ell, m in config.get("subjects") or UT2_SUBJECTS:
+    for ell, m in config.get("subjects", UT2_SUBJECTS):
         out.extend(
             verify_ut2(
                 ell, m,
-                config.get("n_max") or GENERAL_N_MAX,
+                config.get("n_max", GENERAL_N_MAX),
                 row_budget=config.get("row_budget"),
             )
         )
@@ -1154,12 +1154,12 @@ def _claim_ut2(config: dict) -> list[VerificationOutcome]:
 
 def _claim_grassmann(config: dict) -> list[VerificationOutcome]:
     out = []
-    for ell in config.get("subjects") or GRASSMANN_SUBJECTS:
+    for ell in config.get("subjects", GRASSMANN_SUBJECTS):
         out.extend(
             verify_grassmann(
                 ell,
-                config.get("n_max") or GRASSMANN_N_MAX,
-                proper_n_max=config.get("proper_n_max") or GENERAL_N_MAX,
+                config.get("n_max", GRASSMANN_N_MAX),
+                proper_n_max=config.get("proper_n_max", GENERAL_N_MAX),
                 row_budget=config.get("row_budget"),
             )
         )
@@ -1167,7 +1167,7 @@ def _claim_grassmann(config: dict) -> list[VerificationOutcome]:
 
 
 def _claim_proper_ordinary(config: dict) -> list[VerificationOutcome]:
-    models = config.get("models") or [
+    models = config["models"] if "models" in config else [
         ut2(2, 2), ut2(4, 2), ut2(0, 0),
         grassmann(3, 5), grassmann(0, 5),
         cyclic_ring(4), cyclic_ring(6), cyclic_ring(0),
@@ -1177,7 +1177,7 @@ def _claim_proper_ordinary(config: dict) -> list[VerificationOutcome]:
         out.extend(
             verify_proper_ordinary(
                 model,
-                config.get("n_max") or GENERAL_N_MAX,
+                config.get("n_max", GENERAL_N_MAX),
                 row_budget=config.get("row_budget"),
             )
         )
@@ -1186,13 +1186,13 @@ def _claim_proper_ordinary(config: dict) -> list[VerificationOutcome]:
 
 def _claim_young(config: dict) -> list[VerificationOutcome]:
     return verify_young(
-        config.get("n_max") or 6, tuple(config.get("moduli") or (0, 2, 3))
+        config.get("n_max", 6), tuple(config.get("moduli", (0, 2, 3)))
     )
 
 
 def _claim_drensky(config: dict) -> list[VerificationOutcome]:
-    models = config.get("models") or [ut2(2, 2), grassmann(3, 4)]
-    degrees = range(2, min(config.get("n_max") or 4, 4) + 1)
+    models = config["models"] if "models" in config else [ut2(2, 2), grassmann(3, 4)]
+    degrees = range(2, min(config.get("n_max", 4), 4) + 1)
     for model in models:
         for n in degrees:
             _check_budget(model, n, config.get("row_budget"))
@@ -1202,18 +1202,20 @@ def _claim_drensky(config: dict) -> list[VerificationOutcome]:
 
 
 def _claim_torsionfree(config: dict) -> list[VerificationOutcome]:
-    n_max = config.get("n_max") or 6
+    n_max = config.get("n_max", 6)
     return verify_specht_torsionfree(n_max) + verify_psi_outcomes(n_max)
 
 
 def _claim_field_props(config: dict) -> list[VerificationOutcome]:
-    models = config.get("models") or [ut2(0, 0), ut2(2, 2), ut2(3, 3)]
+    models = (
+        config["models"] if "models" in config else [ut2(0, 0), ut2(2, 2), ut2(3, 3)]
+    )
     out = []
     for model in models:
         out.extend(
             verify_field_props(
                 model,
-                config.get("n_max") or 4,
+                config.get("n_max", 4),
                 row_budget=config.get("row_budget"),
             )
         )
@@ -1232,9 +1234,12 @@ CLAIMS: dict[str, Callable[[dict], list[VerificationOutcome]]] = {
 
 
 def run_claim(claim: str, config: dict | None = None) -> list[VerificationOutcome]:
-    """Run one registered claim; raises KeyError for unknown names."""
+    """Run one registered claim; raises KeyError for unknown names.
+
+    A ``config`` key that is absent or None takes the claim's default; any
+    other value is used as given."""
     if claim not in CLAIMS:
         raise KeyError(
             f"unknown claim {claim!r}; known: {', '.join(sorted(CLAIMS))}"
         )
-    return CLAIMS[claim](config or {})
+    return CLAIMS[claim]({k: v for k, v in (config or {}).items() if v is not None})

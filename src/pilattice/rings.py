@@ -28,8 +28,6 @@ from .multilinear import MultilinearPoly
 Coords = tuple[int, ...]
 Sparse = dict[int, int]
 
-_ASSOC_CHECK_MAX_RANK = 64
-
 
 def _reduce(value: int, modulus: int) -> int:
     return value % modulus if modulus else value
@@ -155,19 +153,22 @@ class RingModel:
                             f"product e{i}*e{j} is not well defined against "
                             f"the additive torsion (entry {k})"
                         )
-        if self.rank <= _ASSOC_CHECK_MAX_RANK:
-            for i in range(self.rank):
-                ei = {i: 1}
-                for j in range(self.rank):
-                    eij = self.mul_sparse(ei, {j: 1})
-                    for k in range(self.rank):
-                        left = self.mul_sparse(eij, {k: 1})
-                        right = self.mul_sparse(ei, self.mul_sparse({j: 1}, {k: 1}))
-                        if left != right:
-                            raise ValueError(
-                                f"multiplication not associative at "
-                                f"(e{i}, e{j}, e{k})"
-                            )
+        # (e_i e_j) e_k and e_i (e_j e_k) are both zero unless (i, j) or
+        # (j, k) is a key of the table, so only those triples are checked
+        after: dict[int, list[int]] = {}
+        for j, k in sorted(self.table):
+            after.setdefault(j, []).append(k)
+        for i in range(self.rank):
+            ei = {i: 1}
+            for j in range(self.rank):
+                eij = self.mul_sparse(ei, {j: 1})
+                for k in range(self.rank) if (i, j) in self.table else after.get(j, ()):
+                    left = self.mul_sparse(eij, {k: 1})
+                    right = self.mul_sparse(ei, self.mul_sparse({j: 1}, {k: 1}))
+                    if left != right:
+                        raise ValueError(
+                            f"multiplication not associative at (e{i}, e{j}, e{k})"
+                        )
         if self.unit is not None:
             one = dict(enumerate(self.unit))
             one = {k: v for k, v in one.items() if v}

@@ -23,8 +23,8 @@ from .lattices import (
     AbelianInvariants,
     LatticeBuilder,
     SubmoduleLattice,
-    TransformBuilder,
-    _combine,
+    preimage,
+    split_hnf,
 )
 
 Partition = tuple[int, ...]
@@ -567,9 +567,9 @@ class FiltrationReport:
 def _psi_split(p: PartitionPair):
     """Apply psi_{c-1, lambda_c} to the basis of S(lambda; mu).
 
-    Returns (S, R_c(pair), A_c(pair), the fold of the psi images, the
-    kernel lattice, image == S(R_c(pair)), kernel == S(A_c(pair))); the
-    fold lifts image rows back to S.  Requires lambda != mu."""
+    Returns (S, R_c(pair), A_c(pair), the fold of the rows [psi(s) | s],
+    the kernel lattice, image == S(R_c(pair)), kernel == S(A_c(pair)));
+    the fold lifts image rows back to S.  Requires lambda != mu."""
     c = find_c(p)
     if c is None:
         raise ValueError("lemma applies only when lambda != mu")
@@ -577,36 +577,31 @@ def _psi_split(p: PartitionPair):
     v = lam_pad[c - 1]
     S = specht_lattice(p)
     r_pair, a_pair = op_R(c, p), op_A(c, p)
-    tb = TransformBuilder(len(tabloid_module_basis(r_pair.mu)))
-    for row in S.rows:
-        tb.add(_psi_row(p.mu, c - 1, v, row))
-    image = tb.image()
+    whole, image, k_lattice = split_hnf(
+        ((_psi_row(p.mu, c - 1, v, row), row) for row in S.rows),
+        len(tabloid_module_basis(r_pair.mu)),
+        S.ambient,
+    )
     r_lattice = specht_lattice(r_pair)
     image_ok = image.contains_lattice(r_lattice) and r_lattice.contains_lattice(image)
-    k_lattice = SubmoduleLattice.from_rows(
-        S.ambient, (_combine(rel.items(), S.rows, S.ambient) for rel in tb.kernel_rows)
-    )
     a_lattice = (
         SubmoduleLattice.zero(S.ambient) if a_pair.is_zero else specht_lattice(a_pair)
     )
     kernel_ok = k_lattice.contains_lattice(a_lattice) and a_lattice.contains_lattice(
         k_lattice
     )
-    return S, r_pair, a_pair, tb, k_lattice, image_ok, kernel_ok
+    return S, r_pair, a_pair, whole, k_lattice, image_ok, kernel_ok
 
 
-def _lift_rows(
-    tb: TransformBuilder, source_rows: Sequence[Sequence[int]], target: SubmoduleLattice
-) -> list[list[int]]:
+def _lift_rows(whole: LatticeBuilder, target: SubmoduleLattice) -> list[list[int]]:
     """Rows of the source whose psi images span ``target`` -- one preimage
     per basis row of ``target``."""
     out = []
-    ambient = len(source_rows[0]) if source_rows else 0
     for u in target.rows:
-        combo = tb.solve(u)
-        if combo is None:
+        row = preimage(whole, u)
+        if row is None:
             raise RuntimeError("filtration lift failed: image lattice mismatch")
-        out.append(_combine(combo.items(), source_rows, ambient))
+        out.append(row)
     return out
 
 
@@ -627,7 +622,7 @@ def specht_series(p: PartitionPair) -> FiltrationReport:
         return FiltrationReport(
             p.lam, p.mu, 0, chain, (FiltrationFactor(p.lam, inv, S.rank),)
         )
-    S, r_pair, a_pair, tb, k_lattice, image_ok, kernel_ok = _psi_split(p)
+    S, r_pair, a_pair, whole, k_lattice, image_ok, kernel_ok = _psi_split(p)
     dim = S.ambient
     if not image_ok:
         raise RuntimeError(f"psi image of {p} is not S({r_pair})")
@@ -638,7 +633,7 @@ def specht_series(p: PartitionPair) -> FiltrationReport:
     chain: list[SubmoduleLattice] = [S]
     for deeper in r_report.chain[1:]:
         rows = [list(r) for r in k_lattice.rows]
-        rows.extend(_lift_rows(tb, S.rows, deeper))
+        rows.extend(_lift_rows(whole, deeper))
         chain.append(SubmoduleLattice.from_rows(dim, rows))
     labels = list(r_report.factor_labels)
     if a_pair.is_zero:

@@ -304,6 +304,15 @@ def test_reports_are_byte_stable(tmp_path):
     assert doc["config"]["seed"] == 11
 
 
+def test_star_import_resolves_every_export():
+    import pilattice
+
+    namespace: dict = {}
+    exec("from pilattice import *", namespace)
+    for name in pilattice.__all__:
+        assert namespace[name] is getattr(pilattice, name)
+
+
 def test_installed_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "pilattice.cli"],

@@ -14,7 +14,6 @@ from pilattice.lattices import (
     AbelianInvariants,
     LatticeBuilder,
     SubmoduleLattice,
-    TransformBuilder,
     cokernel_invariants,
     evaluation_kernel,
     field_rank,
@@ -23,8 +22,9 @@ from pilattice.lattices import (
     json_restore_int,
     json_sanitize,
     kernel_basis,
-    lattice_quotient_invariants,
+    preimage,
     smith_normal_form,
+    split_hnf,
 )
 
 
@@ -242,26 +242,21 @@ def test_evaluation_kernel_frozen():
     assert ker.rows == ((2, 0),)
 
 
-def test_transform_builder_solves():
-    tb = TransformBuilder(3)
-    tb.add([2, 0, 1])
-    tb.add([0, 3, 0])
-    assert tb.solve([4, 3, 2]) == {0: 2, 1: 1}
-    assert tb.solve([1, 0, 0]) is None
-    assert tb.image().rank == 2
+def test_split_hnf_preimage():
+    rows = [[2, 0, 1], [0, 3, 0]]
+    unit = [[1, 0], [0, 1]]
+    whole, image, _ = split_hnf(zip(rows, unit), 3, 2)
+    assert preimage(whole, [4, 3, 2]) == [2, 1]
+    assert preimage(whole, [1, 0, 0]) is None
+    assert image.rank == 2
 
 
-def test_transform_builder_kernel():
-    tb = TransformBuilder(2)
+def test_split_hnf_relations():
     rows = [[1, 2], [2, 4]]
-    for r in rows:
-        tb.add(r)
-    (combo,) = tb.kernel_rows
-    assert combo
-    vec = [0, 0]
-    for idx, c in combo.items():
-        vec = [a + c * b for a, b in zip(vec, rows[idx])]
-    assert vec == [0, 0]
+    _, _, relations = split_hnf(zip(rows, [[1, 0], [0, 1]]), 2, 2)
+    (rel,) = relations.rows
+    assert any(rel)
+    assert [sum(c * row[j] for c, row in zip(rel, rows)) for j in range(2)] == [0, 0]
 
 
 def test_intersect_and_sum():
@@ -350,6 +345,8 @@ def test_kernel_basis_spans_right_kernel(data):
             assert sum(a * b for a, b in zip(r, v)) == 0
     rank = LatticeBuilder(cols, rows).rank()
     assert len(ker) == cols - rank
+    if ker:
+        assert SubmoduleLattice.from_rows(cols, ker).is_saturated()
 
 
 @given(small_matrix)
@@ -375,8 +372,32 @@ def test_quotient_by_scaled_self(data):
     scaled = SubmoduleLattice.from_rows(
         cols, [[3 * x for x in row] for row in latt.rows]
     )
-    inv = lattice_quotient_invariants(latt, scaled)
+    inv = latt.quotient_invariants(scaled)
     assert inv == AbelianInvariants((3,) * latt.rank, 0)
+
+
+def _rows_of(cols):
+    return st.lists(
+        st.lists(st.integers(-6, 6), min_size=cols, max_size=cols), max_size=4
+    )
+
+
+lattice_pair = st.integers(1, 3).flatmap(
+    lambda cols: st.tuples(_rows_of(cols), _rows_of(cols), st.just(cols))
+)
+
+
+@given(lattice_pair)
+def test_intersect_matches_brute_force(data):
+    rows_a, rows_b, cols = data
+    a = SubmoduleLattice.from_rows(cols, rows_a)
+    b = SubmoduleLattice.from_rows(cols, rows_b)
+    both = a.intersect(b)
+    for row in both.rows:
+        assert a.contains(row) and b.contains(row)
+    for v in itertools.product(range(-12, 13), repeat=cols):
+        if a.contains(v) and b.contains(v):
+            assert both.contains(v)
 
 
 @given(invariant_chain, invariant_chain, st.integers(0, 2), st.integers(0, 2))

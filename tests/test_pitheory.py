@@ -386,6 +386,14 @@ def test_run_claim_with_config():
     assert "ut2(2,2)" in subjects
 
 
+def test_run_claim_uses_the_given_config():
+    assert run_claim("young", {"n_max": 0}) == []
+    assert run_claim("young", {"moduli": ()}) == []
+    assert run_claim("young", {"n_max": 2, "moduli": None}) == run_claim(
+        "young", {"n_max": 2}
+    )
+
+
 def test_run_claim_unknown():
     with pytest.raises(KeyError, match="unknown claim"):
         run_claim("nonsense")

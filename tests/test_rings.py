@@ -122,6 +122,18 @@ def test_rejects_nonassociative_table():
         )
 
 
+@pytest.mark.parametrize("rank", [64, 65])
+def test_rejects_nonassociative_table_at_any_rank(rank):
+    # (e0 e0) e0 = e1 e0 = e2, while e0 (e0 e0) = e0 e1 = 0
+    with pytest.raises(ValueError, match="associative"):
+        RingModel(
+            label="bad",
+            moduli=(0,) * rank,
+            table={(0, 0): ((1, 1),), (1, 0): ((2, 1),)},
+            generators=((1,) + (0,) * (rank - 1),),
+        )
+
+
 def test_rejects_torsion_incompatible_table():
     # a 2-torsion element squaring to an infinite-order one: 0 = (2a)a = 2a^2
     with pytest.raises(ValueError, match="not well defined"):
