@@ -107,6 +107,12 @@ def evaluation_functionals(model: RingModel, n: int) -> list[Functional]:
     touches, valued in Z/(modulus of that coordinate).  Rows are
     deduplicated up to sign, which changes neither the subgroup they
     generate nor their common kernel.
+
+    Ring products are made once per multiset of generators: if the sorted
+    tuple ``rep`` satisfies ``tup[i] = rep[pos[i] - 1]``, the monomial w
+    takes on ``tup`` the value that pos∘w takes on ``rep``, so the rows of
+    ``tup`` are those of ``rep`` with columns moved by
+    ``monomial_action_map(n, pos)``.
     """
     order = monomial_order(n)
     gens = [{k: c for k, c in enumerate(g) if c} for g in model.generators]
@@ -114,26 +120,39 @@ def evaluation_functionals(model: RingModel, n: int) -> list[Functional]:
     moduli = model.moduli
     out: list[Functional] = []
     seen_rows: set[Functional] = set()
+    # representative -> {coordinate: its values on the words of ``order``}
+    bases: dict[Row, dict[int, list[int]]] = {}
     for tup in generator_tuples(model, n):
-        elems = [gens[i] for i in tup]
-        # consecutive words in lex order share prefixes, so keep a stack
-        # of partial products and rebuild only the changed suffix
-        prev: Row = ()
-        stack: list[dict[int, int]] = []
-        values: list[dict[int, int]] = []
-        for word in order:
-            keep = 0
-            while keep < len(prev) and prev[keep] == word[keep]:
-                keep += 1
-            del stack[keep:]
-            while len(stack) < n:
-                factor = elems[word[len(stack)] - 1]
-                stack.append(factor if not stack else mul(stack[-1], factor))
-            values.append(stack[-1])
-            prev = word
-        support = sorted(set().union(*values))
-        for k in support:
-            row = [val.get(k, 0) for val in values]
+        argsort = sorted(range(n), key=tup.__getitem__)
+        rep = tuple(tup[i] for i in argsort)
+        base = bases.get(rep)
+        if base is None:
+            elems = [gens[i] for i in rep]
+            # consecutive words in lex order share prefixes, so keep a stack
+            # of partial products and rebuild only the changed suffix
+            prev: Row = ()
+            stack: list[dict[int, int]] = []
+            values: list[dict[int, int]] = []
+            for word in order:
+                keep = 0
+                while keep < len(prev) and prev[keep] == word[keep]:
+                    keep += 1
+                del stack[keep:]
+                while len(stack) < n:
+                    factor = elems[word[len(stack)] - 1]
+                    stack.append(factor if not stack else mul(stack[-1], factor))
+                values.append(stack[-1])
+                prev = word
+            base = bases[rep] = {
+                k: [val.get(k, 0) for val in values]
+                for k in sorted(set().union(*values))
+            }
+        pos = [0] * n
+        for r, i in enumerate(argsort, 1):
+            pos[i] = r
+        columns = monomial_action_map(n, tuple(pos))
+        for k, values_k in base.items():
+            row = [values_k[j] for j in columns]
             for x in row:
                 if x:
                     if x < 0:

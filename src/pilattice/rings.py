@@ -67,6 +67,10 @@ class RingModel:
             if cleaned:
                 tbl[(i, j)] = cleaned
         self.table = tbl
+        # the same table indexed by left factor, then right factor
+        self._products: dict[int, dict[int, tuple[tuple[int, int], ...]]] = {}
+        for (i, j), entries in tbl.items():
+            self._products.setdefault(i, {})[j] = entries
         self.generators = tuple(self._reduce_coords(g) for g in generators)
         self.unit = self._reduce_coords(unit) if unit is not None else None
         self.basis_names = (
@@ -76,13 +80,16 @@ class RingModel:
         )
         if len(self.basis_names) != self.rank:
             raise ValueError("one name per basis vector required")
-        self.support_masks = tuple(support_masks) if support_masks else None
+        self.support_masks = (
+            tuple(support_masks) if support_masks is not None else None
+        )
         self._key = (
             self.label,
             self.moduli,
             tuple(sorted(self.table.items())),
             self.generators,
             self.unit,
+            self.support_masks,
         )
         self.validate()
 
@@ -106,16 +113,23 @@ class RingModel:
 
     def mul_sparse(self, a: Sparse, b: Sparse) -> Sparse:
         out: Sparse = {}
-        table = self.table
+        products = self._products
         for i, ca in a.items():
-            for j, cb in b.items():
-                for k, c in table.get((i, j), ()):
-                    out[k] = out.get(k, 0) + ca * cb * c
-        return {
-            k: v
-            for k, v in ((k, _reduce(v, self.moduli[k])) for k, v in out.items())
-            if v
-        }
+            row = products.get(i)
+            if row:
+                for j, cb in b.items():
+                    for k, c in row.get(j, ()):
+                        out[k] = out.get(k, 0) + ca * cb * c
+        moduli = self.moduli
+        for k, v in list(out.items()):
+            m = moduli[k]
+            if m:
+                v %= m
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+        return out
 
     def element(self, coords: Sequence[int]) -> "RingElement":
         return RingElement(self, self._reduce_coords(coords))
@@ -168,6 +182,30 @@ class RingModel:
                     if left != right:
                         raise ValueError(
                             f"multiplication not associative at (e{i}, e{j}, e{k})"
+                        )
+        masks = self.support_masks
+        if masks is not None:
+            if len(masks) != len(self.generators):
+                raise ValueError(
+                    f"{len(masks)} support masks for {len(self.generators)} generators"
+                )
+            # generator_tuples skips every tuple in which two masks overlap,
+            # so each word through such a pair must vanish: g_a * g_b = 0
+            # and g_a * e_k * g_b = 0 for every basis vector e_k, since the
+            # factors between them multiply out to a combination of the e_k
+            gens = [{k: c for k, c in enumerate(g) if c} for g in self.generators]
+            for a, ga in enumerate(gens):
+                partners = [b for b, mb in enumerate(masks) if masks[a] & mb]
+                if not partners:
+                    continue
+                lefts = [ga] + [
+                    p for k in range(self.rank) if (p := self.mul_sparse(ga, {k: 1}))
+                ]
+                for b in partners:
+                    if any(self.mul_sparse(left, gens[b]) for left in lefts):
+                        raise ValueError(
+                            f"generators {a} and {b} have overlapping support "
+                            f"masks but a word through both is nonzero"
                         )
         if self.unit is not None:
             one = dict(enumerate(self.unit))

@@ -43,7 +43,8 @@ from pilattice.pitheory import (
     verify_young,
 )
 from pilattice.rings import (
-    RingModel, cyclic_ring, direct_sum, evaluate, grassmann, tuple_count, ut2,
+    RingModel, cyclic_ring, direct_sum, evaluate, generator_tuples, grassmann,
+    tuple_count, ut2,
 )
 from pilattice.specht import specht_character
 
@@ -176,6 +177,74 @@ def test_proper_functionals_match_substitution(model):
         assert image_invariants(rows, columns) == proper_codim(model, n)
         kernel = evaluation_kernel(rows, columns)
         assert kernel.rows == pitheory._kernel(model, n, True).rows
+
+
+def repeated_generator_ring():
+    """ut2(0, 0) with e11 declared twice, so multisets repeat a generator."""
+    base = ut2(0, 0)
+    return RingModel(
+        label="ut2-twin-e11",
+        moduli=base.moduli,
+        table=base.table,
+        generators=(base.generators[0],) + base.generators,
+        unit=base.unit,
+    )
+
+
+ORDINARY_ORACLE_MODELS = [
+    ut2(2, 2), cyclic_ring(6), grassmann(3, 3),
+    direct_sum(grassmann(3, 3), ut2(0, 0)), repeated_generator_ring(),
+]
+
+
+def ordinary_rows_by_substitution(model, n):
+    """Ordinary functionals straight from the definition: every monomial
+    evaluated on every generator tuple, one row per coordinate."""
+    polys = [MultilinearPoly.monomial(w) for w in monomial_order(n)]
+    gens = model.generator_elements()
+    rows = []
+    for tup in itertools.product(gens, repeat=n):
+        values = [evaluate(f, tup).coords for f in polys]
+        for k, m in enumerate(model.moduli):
+            rows.append(([v[k] for v in values], m))
+    return rows, len(polys)
+
+
+def full_walk_functionals(model, n):
+    """Ring products on every tuple, rows normalised and deduplicated in
+    visiting order: the reference for the orbit walk's exact output."""
+    gens = [{k: c for k, c in enumerate(g) if c} for g in model.generators]
+    out, seen = [], set()
+    for tup in generator_tuples(model, n):
+        values = []
+        for word in monomial_order(n):
+            value = gens[tup[word[0] - 1]]
+            for v in word[1:]:
+                value = model.mul_sparse(value, gens[tup[v - 1]])
+            values.append(value)
+        for k in sorted(set().union(*values)):
+            row = [val.get(k, 0) for val in values]
+            lead = next(x for x in row if x)
+            entry = (tuple(-x if lead < 0 else x for x in row), model.moduli[k])
+            if entry not in seen:
+                seen.add(entry)
+                out.append(entry)
+    return out
+
+
+@pytest.mark.parametrize("model", ORDINARY_ORACLE_MODELS, ids=lambda model: model.label)
+def test_ordinary_functionals_match_substitution(model):
+    for n in (1, 2, 3, 4):
+        rows, columns = ordinary_rows_by_substitution(model, n)
+        assert image_invariants(rows, columns) == pitheory._invariants(model, n, False)
+        kernel = evaluation_kernel(rows, columns)
+        assert kernel.rows == pitheory._kernel(model, n, False).rows
+
+
+@pytest.mark.parametrize("model", ORDINARY_ORACLE_MODELS, ids=lambda model: model.label)
+def test_orbit_walk_keeps_the_full_walk_order(model):
+    for n in (1, 2, 3, 4):
+        assert pitheory.evaluation_functionals(model, n) == full_walk_functionals(model, n)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pilattice.multilinear import bracket_poly
+from pilattice.pitheory import ordinary_codim
+from pilattice.lattices import AbelianInvariants
 from pilattice.rings import (
     RingModel,
     commutator_element,
@@ -166,6 +168,62 @@ def test_rejects_nongenerating_set():
         )
 
 
+def test_rejects_support_masks_of_wrong_length():
+    # one mask for two generators used to pass and then fail evaluation
+    with pytest.raises(ValueError, match="support masks"):
+        RingModel(
+            label="short-masks",
+            moduli=(0, 0),
+            table={},
+            generators=((1, 0), (0, 1)),
+            support_masks=(1,),
+        )
+
+
+def test_rejects_support_masks_that_hide_nonzero_products():
+    # Z x Z on two idempotents: overlapping masks would prune every tuple
+    # with a repeated generator and read the degree-2 group as 0
+    idempotents = dict(
+        label="ZxZ",
+        moduli=(0, 0),
+        table={(0, 0): ((0, 1),), (1, 1): ((1, 1),)},
+        generators=((1, 0), (0, 1)),
+    )
+    with pytest.raises(ValueError, match="overlapping support masks"):
+        RingModel(**idempotents, support_masks=(1, 1))
+    assert ordinary_codim(RingModel(**idempotents), 2).ordinary == AbelianInvariants((), 1)
+
+
+def test_rejects_support_masks_that_hide_a_separated_product():
+    # a*a = 0, yet a*b*a != 0: a tuple with a twice still has nonzero words
+    words = ("a", "b", "ab", "ba", "aba")
+    index = {w: i for i, w in enumerate(words)}
+    table = {
+        (index[u], index[v]): ((index[u + v], 1),)
+        for u in words for v in words if u + v in index
+    }
+    with pytest.raises(ValueError, match="overlapping support masks"):
+        RingModel(
+            label="aba",
+            moduli=(0,) * 5,
+            table=table,
+            generators=((1, 0, 0, 0, 0), (0, 1, 0, 0, 0)),
+            support_masks=(1, 0),
+        )
+
+
+def test_support_masks_are_part_of_the_identity():
+    g = grassmann(3, 2)
+    fields = dict(
+        label=g.label, moduli=g.moduli, table=g.table,
+        generators=g.generators, unit=g.unit,
+    )
+    masked = RingModel(**fields, support_masks=g.support_masks)
+    unmasked = RingModel(**fields)
+    assert masked == g and unmasked != masked
+    assert ordinary_codim(unmasked, 3).ordinary == ordinary_codim(masked, 3).ordinary
+
+
 def test_element_model_mismatch():
     with pytest.raises(ValueError):
         cyclic_ring(2).element((1,)) * cyclic_ring(3).element((1,))
@@ -252,6 +310,44 @@ def test_grassmann_generators_anticommute(i, j):
     gi, gj = gens[i % 3], gens[j % 3]
     assert (gi * gj + gj * gi).is_zero()
     assert (gi * gi).is_zero()
+
+
+def cancelling_ring():
+    """e0*e0 = 2*e1 with both coordinates mod 4: products cancel to zero."""
+    return RingModel(
+        label="cancelling",
+        moduli=(4, 4),
+        table={(0, 0): ((1, 2),)},
+        generators=((1, 0), (0, 1)),
+    )
+
+
+def naive_product(model, a, b):
+    out = [0] * model.rank
+    for (i, j), entries in model.table.items():
+        for k, c in entries:
+            out[k] += a.get(i, 0) * b.get(j, 0) * c
+    reduced = [v % m if m else v for v, m in zip(out, model.moduli)]
+    return {k: v for k, v in enumerate(reduced) if v}
+
+
+PRODUCT_MODELS = [
+    ut2(4, 2),
+    grassmann(3, 3),
+    cyclic_ring(4),
+    direct_sum(ut2(2, 2), cyclic_ring(3)),
+    cancelling_ring(),
+]
+
+
+@given(st.data())
+def test_mul_sparse_matches_naive_product(data):
+    model = data.draw(st.sampled_from(PRODUCT_MODELS))
+    sparse = st.dictionaries(
+        st.integers(0, model.rank - 1), st.integers(-9, 9), max_size=model.rank
+    )
+    a, b = data.draw(sparse), data.draw(sparse)
+    assert model.mul_sparse(a, b) == naive_product(model, a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,38 @@
+"""The benchmark's layer trace (perfbench/layertrace.py) patches functions
+of the library by name; this guard fails when a rename breaks it."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+TRACED_SESSION = """
+import importlib.util
+spec = importlib.util.spec_from_file_location("layertrace", "perfbench/layertrace.py")
+layertrace = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(layertrace)
+tracer = layertrace.Tracer()
+layertrace.install(tracer)
+
+from pilattice.pitheory import kernel_lattice, ordinary_codim
+from pilattice.rings import tuple_count, ut2
+
+model = ut2(2, 2)
+ordinary_codim(model, 3, include_proper=True)
+kernel_lattice(model, 3)
+summary = tracer.summary()
+assert summary["counts"]["rings.tuples"] == tuple_count(model, 3), summary
+assert summary["calls"]["pitheory.eval"] == 1, summary
+"""
+
+
+def test_layer_trace_hooks_resolve():
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_SESSION],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "LookupError" not in proc.stderr
