@@ -13,8 +13,8 @@ map acts on the right (``v @ M``).  Matrices are plain ``list[list[int]]``
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 from math import gcd, lcm, prod
 from typing import Callable, Iterable, Sequence
@@ -65,9 +65,9 @@ class LatticeBuilder(_Echelon):
 
     Rows are folded one at a time; the builder keeps an echelon basis with
     strictly increasing pivot columns and positive pivots.  ``add`` returns
-    True when the row enlarged the lattice, so fixpoint loops (orbit
-    closures, consequence closures) can detect stabilisation.  Call
-    ``snapshot`` for the canonical Hermite form.
+    True when the row enlarged the lattice, for fixpoint loops such as
+    ``orbit_span``, which spins exactly those rows to close a lattice under
+    a group.  Call ``snapshot`` for the canonical Hermite form.
     """
 
     __slots__ = ("ambient", "rows", "pivots")
@@ -249,6 +249,37 @@ class SubmoduleLattice(_Echelon):
                 raise ValueError("map does not preserve the lattice")
             tr += coords[i]
         return tr
+
+
+def permute_row(action_map: Sequence[int], row: Row) -> list[int]:
+    """The row with coordinate i moved to coordinate ``action_map[i]``."""
+    out = [0] * len(row)
+    for i, c in enumerate(row):
+        if c:
+            out[action_map[i]] = c
+    return out
+
+
+def orbit_span(
+    ambient: int, seeds: Iterable[Row], maps: Sequence[Row], stable: Iterable[Row] = ()
+) -> SubmoduleLattice:
+    """Hermite form of the span of ``stable`` and of the orbits of the
+    ``seeds`` under the group generated by the coordinate permutations
+    ``maps``.  ``stable`` must be closed under the maps already; it is not
+    spun.  Every row that enlarges the lattice has its images under the maps
+    folded in turn, so the result is closed under the group (spinning:
+    Parker, "The computer calculation of modular characters", 1984).
+
+    >>> orbit_span(3, [[1, -1, 0]], [(1, 0, 2), (0, 2, 1)]).rows
+    ((1, 0, -1), (0, 1, -1))
+    """
+    builder = LatticeBuilder(ambient, stable)
+    work = deque(seeds)
+    while work:
+        row = work.popleft()
+        if builder.add(row):
+            work.extend(permute_row(m, row) for m in maps)
+    return builder.snapshot()
 
 
 def split_hnf(

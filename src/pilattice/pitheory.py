@@ -27,6 +27,8 @@ from .lattices import (
     field_rank,
     image_invariants,
     json_sanitize,
+    orbit_span,
+    permute_row,
 )
 from .multilinear import (
     MultilinearPoly,
@@ -44,6 +46,7 @@ from .rings import (
     ut2,
 )
 from .specht import (
+    adjacent_transpositions,
     conjugacy_class_reps,
     cycle_type,
     find_c,
@@ -51,7 +54,6 @@ from .specht import (
     induce_mod,
     pair,
     partitions,
-    permute_row,
     rational_character,
     specht_character,
     specht_lattice,
@@ -722,28 +724,21 @@ def _drensky(model: RingModel, n: int) -> DrenskyReport:
     dim = len(order)
     index = {w: i for i, w in enumerate(order)}
     kernel = _kernel(model, n, False)
-    words = list(itertools.permutations(range(1, n + 1)))
-
-    def level(t: int) -> SubmoduleLattice:
-        builder = LatticeBuilder(dim, kernel.rows)
-        for s in range(t, n + 1):
-            shift = n - s
-            prefix = tuple(range(1, shift + 1))
-            for elem_row in proper_basis(s).matrix:
-                base = [
-                    (prefix + tuple(v + shift for v in w), c)
-                    for w, c in zip(monomial_order(s), elem_row)
-                    if c
-                ]
-                for sigma in words:
-                    vec = [0] * dim
-                    for w, c in base:
-                        vec[index[tuple(sigma[v - 1] for v in w)]] += c
-                    builder.add(vec)
-        return builder.snapshot()
-
-    levels = {t: level(t) for t in range(2, n + 1)}
-    levels[n + 1] = kernel
+    maps = [monomial_action_map(n, word) for word in adjacent_transpositions(n)]
+    # level t is level t+1 (closed under renaming) plus the renamings of
+    # (x_1 ... x_{n-t}) * (proper basis element on the last t variables)
+    levels = {n + 1: kernel}
+    for t in range(n, 1, -1):
+        shift = n - t
+        prefix = tuple(range(1, shift + 1))
+        seeds = []
+        for elem_row in proper_basis(t).matrix:
+            vec = [0] * dim
+            for w, c in zip(monomial_order(t), elem_row):
+                if c:
+                    vec[index[prefix + tuple(v + shift for v in w)]] = c
+            seeds.append(vec)
+        levels[t] = orbit_span(dim, seeds, maps, stable=levels[t + 1].rows)
     head = SubmoduleLattice.full(dim).quotient_invariants(levels[2])
     head_expected = cyclic_invariants(model.characteristic())
     reps = conjugacy_class_reps(n)

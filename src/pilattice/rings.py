@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .lattices import (
     LatticeBuilder,
+    SubmoduleLattice,
     json_restore_int,
     json_sanitize,
 )
@@ -236,7 +237,7 @@ class RingModel:
                     vec[k] = c
                 if builder.add(vec):
                     closed = False
-        if builder.rank() != self.rank or any(p != 1 for _, p in _pivot_entries(builder)):
+        if builder.snapshot() != SubmoduleLattice.full(self.rank):
             raise ValueError(
                 f"{self.label}: declared generators do not generate the ring"
             )
@@ -264,7 +265,7 @@ class RingModel:
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
+        doc = {
             "label": self.label,
             "family": self.family,
             "params": json_sanitize(list(self.params)),
@@ -278,6 +279,9 @@ class RingModel:
             "unit": json_sanitize(list(self.unit)) if self.unit is not None else None,
             "basis_names": list(self.basis_names),
         }
+        if self.support_masks is not None:
+            doc["support_masks"] = json_sanitize(list(self.support_masks))
+        return doc
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "RingModel":
@@ -285,7 +289,10 @@ class RingModel:
         params = tuple(json_restore_int(p) for p in doc.get("params", []))
         rebuilt = _rebuild_known(family, params)
         if rebuilt is not None:
-            if rebuilt.to_json() != dict(doc):
+            stored = rebuilt.to_json()
+            if "support_masks" not in doc:  # written before masks were stored
+                stored.pop("support_masks", None)
+            if stored != dict(doc):
                 raise ValueError(
                     f"stored tables for {doc.get('label')} do not match the "
                     f"{family}{params} constructor"
@@ -309,11 +316,8 @@ class RingModel:
             basis_names=doc.get("basis_names"),
             family=family,
             params=params,
+            support_masks=json_restore_int(doc.get("support_masks")),
         )
-
-
-def _pivot_entries(builder: LatticeBuilder) -> list[tuple[int, int]]:
-    return [(p, builder.rows[i][p]) for i, p in enumerate(builder.pivots)]
 
 
 class RingElement:

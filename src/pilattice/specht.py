@@ -23,6 +23,8 @@ from .lattices import (
     AbelianInvariants,
     LatticeBuilder,
     SubmoduleLattice,
+    orbit_span,
+    permute_row,
     preimage,
     split_hnf,
 )
@@ -218,22 +220,21 @@ def tabloid_of(tableau: Tableau) -> Tabloid:
     return tuple(tuple(sorted(row)) for row in tableau)
 
 
+def adjacent_transpositions(n: int) -> tuple[PermWord, ...]:
+    """One-line words of the transpositions (i, i+1) that generate S_n.
+
+    >>> adjacent_transpositions(3)
+    ((2, 1, 3), (1, 3, 2))
+    """
+    ident = tuple(range(1, n + 1))
+    return tuple(ident[: i - 1] + (i + 1, i) + ident[i + 1 :] for i in range(1, n))
+
+
 @lru_cache(maxsize=None)
 def _transposition_maps(mu: Composition) -> tuple[tuple[int, ...], ...]:
     """For each adjacent transposition (i, i+1), the induced permutation of
     tabloid indices."""
-    basis = tabloid_module_basis(mu)
-    index = _tabloid_index(mu)
-    n = sum(mu)
-    maps = []
-    for i in range(1, n):
-        swap = {i: i + 1, i + 1: i}
-        img = tuple(
-            index[tuple(tuple(sorted(swap.get(x, x) for x in row)) for row in tab)]
-            for tab in basis
-        )
-        maps.append(img)
-    return tuple(maps)
+    return tuple(tabloid_action_map(mu, w) for w in adjacent_transpositions(sum(mu)))
 
 
 def tabloid_action_map(mu: Composition, word: PermWord) -> tuple[int, ...]:
@@ -244,14 +245,6 @@ def tabloid_action_map(mu: Composition, word: PermWord) -> tuple[int, ...]:
         index[tuple(tuple(sorted(word[x - 1] for x in row)) for row in tab)]
         for tab in basis
     )
-
-
-def permute_row(action_map: Sequence[int], row: Sequence[int]) -> list[int]:
-    out = [0] * len(row)
-    for i, c in enumerate(row):
-        if c:
-            out[action_map[i]] = c
-    return out
 
 
 @dataclass(frozen=True)
@@ -366,40 +359,17 @@ def polytabloid(p: PartitionPair, tableau: Tableau) -> TabloidVector:
 def specht_lattice(p: PartitionPair) -> SubmoduleLattice:
     """Integer span of the polytabloids of all n! tableaux of shape mu.
 
-    Tableaux are folded incrementally in lexicographic order of the
-    filling permutation; once the lattice is closed under all adjacent
-    transpositions it already contains every remaining polytabloid
-    (they form a single orbit), so generation stops early at that
-    fixpoint.
+    The polytabloids form one orbit of the symmetric group, so the lattice
+    is spun from the polytabloid of the canonical tableau under the
+    adjacent transpositions (``orbit_span``).
     """
     if p.is_zero:
         return SubmoduleLattice.zero(1)
-    n = p.n
-    base = canonical_tableau(p.mu)
-    dim = len(tabloid_module_basis(p.mu))
-    builder = LatticeBuilder(dim)
-    maps = _transposition_maps(p.mu)
-    idle, threshold = 0, 4
-    for word in itertools.permutations(range(1, n + 1)):
-        tableau = tuple(tuple(word[x - 1] for x in row) for row in base)
-        if builder.add(_polytabloid_row(p.lam, p.mu, tableau)):
-            idle = 0
-            continue
-        idle += 1
-        if idle >= threshold:
-            if _stable_under(builder, maps):
-                break
-            idle = 0
-            threshold *= 2
-    return builder.snapshot()
-
-
-def _stable_under(builder: LatticeBuilder, maps: Sequence[Sequence[int]]) -> bool:
-    for row in builder.rows:
-        for m in maps:
-            if not builder.contains(permute_row(m, row)):
-                return False
-    return True
+    return orbit_span(
+        len(tabloid_module_basis(p.mu)),
+        [_polytabloid_row(p.lam, p.mu, canonical_tableau(p.mu))],
+        _transposition_maps(p.mu),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ folding, so agreement on random inputs is meaningful.
 """
 
 import itertools
+import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pilattice.lattices import (
     AbelianInvariants,
@@ -22,10 +23,14 @@ from pilattice.lattices import (
     json_restore_int,
     json_sanitize,
     kernel_basis,
+    orbit_span,
+    permute_row,
     preimage,
     smith_normal_form,
     split_hnf,
 )
+from pilattice.pitheory import monomial_action_map
+from pilattice.specht import adjacent_transpositions
 
 
 # ---------------------------------------------------------------------------
@@ -449,3 +454,25 @@ def test_kernel_membership_with_free_functional(gens):
         for vec, m in functionals:
             val = sum(a * b for a, b in zip(v, vec))
             assert val % m == 0 if m else val == 0
+
+
+def full_orbit_fold(n, seeds, stable=()):
+    """Reference closure: the oracle Hermite form of ``stable`` and of
+    sigma . seed for every seed and every sigma in S_n, acting by renaming
+    on the n! monomial columns."""
+    words = list(itertools.permutations(range(1, n + 1)))
+    images = [permute_row(monomial_action_map(n, w), s) for s in seeds for w in words]
+    return oracle_hnf([*stable, *images], math.factorial(n))
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_orbit_span_matches_full_orbit_fold(data):
+    n = data.draw(st.integers(2, 4))
+    dim = math.factorial(n)
+    vector = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+    seeds = data.draw(st.lists(vector, min_size=1, max_size=3))
+    stable = full_orbit_fold(n, [data.draw(vector)])
+    maps = [monomial_action_map(n, w) for w in adjacent_transpositions(n)]
+    assert orbit_span(dim, seeds, maps).rows == full_orbit_fold(n, seeds)
+    assert orbit_span(dim, seeds, maps, stable).rows == full_orbit_fold(n, seeds, stable)

@@ -354,6 +354,15 @@ def test_mul_sparse_matches_naive_product(data):
 # serialization
 # ---------------------------------------------------------------------------
 
+def masked_custom_copy(model):
+    """``model`` rebuilt as a custom model that keeps its support masks."""
+    return RingModel(
+        label=f"custom-{model.label}", moduli=model.moduli, table=model.table,
+        generators=model.generators, unit=model.unit,
+        support_masks=model.support_masks,
+    )
+
+
 @pytest.mark.parametrize(
     "model",
     [
@@ -362,6 +371,7 @@ def test_mul_sparse_matches_naive_product(data):
         ut2(0, 0),
         grassmann(3, 3),
         direct_sum(cyclic_ring(2), grassmann(3, 2)),
+        masked_custom_copy(grassmann(3, 2)),
     ],
     ids=lambda m: m.label,
 )
@@ -370,6 +380,14 @@ def test_json_roundtrip(model):
     rebuilt = RingModel.from_json(doc)
     assert rebuilt == model
     assert rebuilt.to_json() == doc
+
+
+def test_json_loads_grassmann_doc_without_masks():
+    # a doc written before the masks were stored, and unmasked docs unchanged
+    doc = grassmann(3, 3).to_json()
+    assert doc.pop("support_masks") == list(grassmann(3, 3).support_masks)
+    assert RingModel.from_json(doc) == grassmann(3, 3)
+    assert "support_masks" not in cyclic_ring(6).to_json()
 
 
 def test_json_rejects_tampered_known_family():

@@ -14,6 +14,7 @@ from hypothesis import given, strategies as st
 
 from pilattice.specht import (
     ZERO_PAIR,
+    canonical_tableau,
     class_representative,
     conjugacy_class_reps,
     conjugate,
@@ -34,10 +35,11 @@ from pilattice.specht import (
     tabloid_action_map,
     tabloid_module_basis,
     TabloidVector,
+    valid_pairs,
     verify_psi_lemma,
     young_expected,
 )
-from pilattice.lattices import AbelianInvariants
+from pilattice.lattices import AbelianInvariants, SubmoduleLattice
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +141,20 @@ def test_polytabloid_frozen():
 def test_specht_rank_is_standard_tableau_count():
     for lam in [(2, 1), (2, 2), (3, 1), (2, 1, 1), (3, 2)]:
         assert specht_lattice(pair(lam, lam)).rank == count_standard_tableaux(lam)
+
+
+def test_specht_lattice_matches_all_polytabloids():
+    # the reference folds the polytabloids of all n! tableaux, no spinning
+    pairs = [p for n in range(1, 6) for p in valid_pairs(n)]
+    assert len(pairs) == 85
+    for p in pairs:
+        base = canonical_tableau(p.mu)
+        rows = [
+            polytabloid(p, tuple(tuple(word[x - 1] for x in row) for row in base))
+            .to_row()
+            for word in itertools.permutations(range(1, p.n + 1))
+        ]
+        assert specht_lattice(p) == SubmoduleLattice.from_rows(len(rows[0]), rows)
 
 
 @given(st.permutations(list(range(1, 5))))
