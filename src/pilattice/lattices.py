@@ -68,6 +68,11 @@ class LatticeBuilder(_Echelon):
     True when the row enlarged the lattice, for fixpoint loops such as
     ``orbit_span``, which spins exactly those rows to close a lattice under
     a group.  Call ``snapshot`` for the canonical Hermite form.
+
+    An xgcd-combined row is reduced against the later pivots before it is
+    stored (its pivot entry g < a, so the earlier rows leave it alone):
+    unreduced, such rows feed each other and the entries grow to thousands
+    of bits on dense inputs, while the Hermite form's stay small.
     """
 
     __slots__ = ("ambient", "rows", "pivots")
@@ -100,7 +105,7 @@ class LatticeBuilder(_Echelon):
                         v[c] -= q * r[c]
                 else:
                     g, x, y = xgcd(a, b)
-                    self.rows[i] = [x * rc + y * vc for rc, vc in zip(r, v)]
+                    self.rows[i] = self.reduce([x * rc + y * vc for rc, vc in zip(r, v)])
                     v = [(a // g) * vc - (b // g) * rc for rc, vc in zip(r, v)]
                     changed = True
             else:

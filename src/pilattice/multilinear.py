@@ -350,13 +350,12 @@ def proper_basis(n: int) -> ProperBasis:
     chosen = LatticeBuilder(dim, rows)
     if chosen.rank() != len(elems):
         raise AssertionError(f"selected commutator products are dependent at n={n}")
-    everything = LatticeBuilder(dim, rows)
     for part in _blockwise_partitions(tuple(range(1, n + 1))):
         for combo in itertools.product(*map(_candidate_brackets, part)):
             poly = MultilinearPoly.one()
             for br in combo:
                 poly = poly * bracket_poly(br)
-            if everything.add(poly.to_vector(n)):
+            if not chosen.contains(poly.to_vector(n)):
                 raise AssertionError(
                     f"bracket product outside the selected span at n={n}: {combo}"
                 )

@@ -17,11 +17,10 @@ import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .lattices import (
     AbelianInvariants,
-    LatticeBuilder,
     SubmoduleLattice,
     evaluation_kernel,
     field_rank,
@@ -33,6 +32,8 @@ from .lattices import (
 from .multilinear import (
     MultilinearPoly,
     bracket_poly,
+    compose,
+    inverse,
     monomial_order,
     proper_basis,
 )
@@ -492,67 +493,36 @@ def verify_proper_ordinary(
 # identities and their consequence closure
 # ---------------------------------------------------------------------------
 
-def _ordered_splits(elems: tuple[int, ...], blocks: int) -> Iterator[tuple[Row, ...]]:
-    """All ways to arrange elems into ``blocks`` nonempty ordered words."""
-    if blocks == 0:
-        if not elems:
-            yield ()
-        return
-    if len(elems) < blocks:
-        return
-    for perm in itertools.permutations(elems):
-        for cuts in itertools.combinations(range(1, len(elems)), blocks - 1):
-            marks = (0,) + cuts + (len(elems),)
-            yield tuple(perm[marks[i]: marks[i + 1]] for i in range(blocks))
-
-
-def multilinear_consequences(f: MultilinearPoly, n: int) -> Iterator[MultilinearPoly]:
-    """Degree-n multilinear elements of the two-sided substitution ideal
-    of f: all a * f(u_1, ..., u_d) * b with monomials u_i, a, b covering
-    the variables 1..n exactly once."""
-    d = f.degree
-    if set(f.variables) != set(range(1, d + 1)):
-        raise ValueError("identity must use the variables 1..degree")
-    allvars = tuple(range(1, n + 1))
-    for s_size in range(d, n + 1):
-        for subset in itertools.combinations(allvars, s_size):
-            rest = tuple(x for x in allvars if x not in subset)
-            for blocks in _ordered_splits(subset, d):
-                terms: dict[Row, int] = {}
-                for word, coeff in f.terms.items():
-                    new = tuple(
-                        itertools.chain.from_iterable(blocks[v - 1] for v in word)
-                    )
-                    terms[new] = terms.get(new, 0) + coeff
-                inst = MultilinearPoly(terms, subset)
-                for k in range(len(rest) + 1):
-                    for a_set in itertools.combinations(rest, k):
-                        b_set = tuple(x for x in rest if x not in a_set)
-                        for a_word in itertools.permutations(a_set):
-                            left = (
-                                MultilinearPoly.monomial(a_word) * inst
-                                if a_word
-                                else inst
-                            )
-                            for b_word in itertools.permutations(b_set):
-                                yield (
-                                    left * MultilinearPoly.monomial(b_word)
-                                    if b_word
-                                    else left
-                                )
+def _placed(n: int, f: MultilinearPoly, k: int, lengths: Sequence[int]) -> list[int]:
+    """Row of x_1...x_k * f(u_1, ..., u_d) * x_{k+s+1}...x_n, where u_i is
+    the product of the next ``lengths[i]`` variables after the prefix and
+    s = sum(lengths)."""
+    cuts = (0, *itertools.accumulate(lengths, initial=k), n)
+    blocks = [tuple(range(a + 1, b + 1)) for a, b in zip(cuts, cuts[1:])]
+    terms = {sum((blocks[v] for v in w), blocks[0]) + blocks[-1]: c for w, c in f}
+    return MultilinearPoly(terms, range(1, n + 1)).to_vector(n)
 
 
 def consequence_lattice(
     identities: Sequence[MultilinearPoly], n: int
 ) -> SubmoduleLattice:
-    """Span of all degree-n multilinear consequences of the identities."""
-    builder = LatticeBuilder(len(monomial_order(n)))
+    """Span of all degree-n multilinear consequences of the identities.
+
+    A consequence a * f(u_1, ..., u_d) * b, with monomials a, u_i, b
+    covering x_1..x_n once, is the renaming of exactly one seed
+    x_1...x_k * f(u_1, ..., u_d) * x_{k+s+1}...x_n whose blocks u_i are
+    consecutive, of lengths l_i >= 1 with s = sum l_i (``_placed``).  So
+    the span is the S_n-span of the seeds, which ``orbit_span`` spins
+    under the adjacent transpositions.
+    """
+    seeds = []
     for f in identities:
-        if f.degree > n:
-            continue
-        for g in multilinear_consequences(f, n):
-            builder.add(g.to_vector(n))
-    return builder.snapshot()
+        if set(f.variables) != set(range(1, f.degree + 1)):
+            raise ValueError("identity must use the variables 1..degree")
+        for lengths in itertools.product(range(1, n - f.degree + 2), repeat=f.degree):
+            seeds += (_placed(n, f, k, lengths) for k in range(n - sum(lengths) + 1))
+    maps = [monomial_action_map(n, word) for word in adjacent_transpositions(n)]
+    return orbit_span(len(monomial_order(n)), seeds, maps)
 
 
 def _shift(poly: MultilinearPoly, offset: int) -> MultilinearPoly:
@@ -682,10 +652,7 @@ def _induced_character(model: RingModel, t: int, n: int) -> tuple[int, ...]:
     for _, sigma in conjugacy_class_reps(n):
         total = 0
         for x in itertools.permutations(range(1, n + 1)):
-            inv = [0] * n
-            for i, xi in enumerate(x):
-                inv[xi - 1] = i + 1
-            conj = tuple(inv[sigma[x[i] - 1] - 1] for i in range(n))
+            conj = compose(inverse(x), compose(sigma, x))
             if all(conj[i] <= t for i in range(t)):
                 total += chi[classes.index(cycle_type(conj[:t]))]
         q, r = divmod(total, h_size)
@@ -720,24 +687,17 @@ def _drensky(model: RingModel, n: int) -> DrenskyReport:
         raise ValueError("the filtration needs a unital model")
     if n < 2:
         raise ValueError("need n >= 2")
-    order = monomial_order(n)
-    dim = len(order)
-    index = {w: i for i, w in enumerate(order)}
+    dim = len(monomial_order(n))
     kernel = _kernel(model, n, False)
     maps = [monomial_action_map(n, word) for word in adjacent_transpositions(n)]
     # level t is level t+1 (closed under renaming) plus the renamings of
     # (x_1 ... x_{n-t}) * (proper basis element on the last t variables)
     levels = {n + 1: kernel}
     for t in range(n, 1, -1):
-        shift = n - t
-        prefix = tuple(range(1, shift + 1))
-        seeds = []
-        for elem_row in proper_basis(t).matrix:
-            vec = [0] * dim
-            for w, c in zip(monomial_order(t), elem_row):
-                if c:
-                    vec[index[prefix + tuple(v + shift for v in w)]] = c
-            seeds.append(vec)
+        seeds = [
+            _placed(n, MultilinearPoly.from_vector(row, t), n - t, (1,) * t)
+            for row in proper_basis(t).matrix
+        ]
         levels[t] = orbit_span(dim, seeds, maps, stable=levels[t + 1].rows)
     head = SubmoduleLattice.full(dim).quotient_invariants(levels[2])
     head_expected = cyclic_invariants(model.characteristic())

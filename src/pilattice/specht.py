@@ -216,10 +216,6 @@ def canonical_tableau(mu: Composition) -> Tableau:
     return tuple(rows)
 
 
-def tabloid_of(tableau: Tableau) -> Tabloid:
-    return tuple(tuple(sorted(row)) for row in tableau)
-
-
 def adjacent_transpositions(n: int) -> tuple[PermWord, ...]:
     """One-line words of the transpositions (i, i+1) that generate S_n.
 

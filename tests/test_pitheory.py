@@ -2,12 +2,16 @@
 registered verification claims on the built-in ring families."""
 
 import itertools
+import math
+import random
 from functools import lru_cache
 
 import pytest
 
 from pilattice import pitheory
-from pilattice.lattices import AbelianInvariants, evaluation_kernel, image_invariants
+from pilattice.lattices import (
+    AbelianInvariants, SubmoduleLattice, evaluation_kernel, image_invariants,
+)
 from pilattice.multilinear import (
     MultilinearPoly, bracket_poly, monomial_order, proper_basis,
 )
@@ -26,7 +30,6 @@ from pilattice.pitheory import (
     identities_vanish,
     kernel_lattice,
     monomial_row_action,
-    multilinear_consequences,
     ordinary_codim,
     proper_codim,
     proper_quotient_character,
@@ -335,12 +338,78 @@ def test_identity_basis_scalars_dropped_when_zero():
     assert len(grassmann_identity_basis(3)) == 2
 
 
+def _ordered_splits(elems, blocks):
+    """All ways to arrange elems into ``blocks`` nonempty ordered words."""
+    if blocks == 0:
+        if not elems:
+            yield ()
+        return
+    for perm in itertools.permutations(elems):
+        for cuts in itertools.combinations(range(1, len(elems)), blocks - 1):
+            marks = (0,) + cuts + (len(elems),)
+            yield tuple(perm[marks[i]: marks[i + 1]] for i in range(blocks))
+
+
+def all_consequences(f, n):
+    """Reference enumerator: every a * f(u_1, ..., u_d) * b with monomials
+    u_i, a, b covering the variables 1..n exactly once."""
+    allvars = tuple(range(1, n + 1))
+    for s_size in range(f.degree, n + 1):
+        for subset in itertools.combinations(allvars, s_size):
+            rest = tuple(x for x in allvars if x not in subset)
+            for blocks in _ordered_splits(subset, f.degree):
+                inst = MultilinearPoly(
+                    {
+                        tuple(itertools.chain.from_iterable(blocks[v - 1] for v in w)): c
+                        for w, c in f.terms.items()
+                    },
+                    subset,
+                )
+                for k in range(len(rest) + 1):
+                    for a_set in itertools.combinations(rest, k):
+                        b_set = tuple(x for x in rest if x not in a_set)
+                        for a_word in itertools.permutations(a_set):
+                            for b_word in itertools.permutations(b_set):
+                                yield (
+                                    MultilinearPoly.monomial(a_word)
+                                    * inst
+                                    * MultilinearPoly.monomial(b_word)
+                                )
+
+
+def random_identity(rng, n):
+    """A random identity of degree 1..n on the variables 1..degree."""
+    d = rng.randint(1, n)
+    words = rng.sample(list(monomial_order(d)), rng.randint(1, math.factorial(d)))
+    return MultilinearPoly(
+        {w: rng.choice([1, 2, 3, 4, 6, 9]) * rng.choice([1, -1]) for w in words},
+        range(1, d + 1),
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_consequence_lattice_matches_all_consequences(n):
+    rng = random.Random(n)
+    cases = [
+        ut2_identity_basis(2, 2),
+        ut2_identity_basis(0, 0),
+        grassmann_identity_basis(3),
+        [grassmann_crossing_identity()],
+        [2 * MultilinearPoly.one()],
+        *([random_identity(rng, n)] for _ in range(10)),
+    ]
+    for ids in cases:
+        rows = [g.to_vector(n) for f in ids for g in all_consequences(f, n)]
+        expected = SubmoduleLattice.from_rows(math.factorial(n), rows)
+        assert consequence_lattice(ids, n) == expected, ids
+
+
 def test_consequences_of_a_bracket():
     closure = consequence_lattice([bracket_poly((1, 2))], 2)
     assert closure.rank == 1
     assert closure.contains(bracket_poly((2, 1)).to_vector(2))
     # 12 one-variable multiples of [x_i,x_j] plus 12 word substitutions
-    count = sum(1 for _ in multilinear_consequences(bracket_poly((1, 2)), 3))
+    count = sum(1 for _ in all_consequences(bracket_poly((1, 2)), 3))
     assert count == 24
 
 
@@ -354,7 +423,7 @@ def test_consequence_closure_equals_kernel_ut2():
 def test_consequences_require_normalized_variables():
     poly = MultilinearPoly.monomial((2, 3))
     with pytest.raises(ValueError):
-        list(multilinear_consequences(poly, 3))
+        consequence_lattice([poly], 3)
 
 
 def test_kernel_is_renaming_stable():
