@@ -1,10 +1,10 @@
 """Exact integer linear algebra on row lattices.
 
-Everything here works over Z with arbitrary-precision Python ints: Hermite
-normal form (row style, canonical), Smith normal form, finitely generated
-abelian group invariants, and the kernel/image computations needed to turn
-an integer evaluation matrix with mixed cyclic target moduli into abelian
-invariants.
+Everything here works over Z with arbitrary-precision Python ints.  One
+Hermite fold (``split_hnf``) gives the image, the relations and the
+preimages: the value group and the identity lattice of an evaluation map
+with mixed cyclic target moduli come off one fold, and the Smith diagonal
+from alternating folds.  Only ``field_rank``'s mod-p check works apart.
 
 Vectors are rows throughout; a lattice is the row span of a matrix, and a
 map acts on the right (``v @ M``).  Matrices are plain ``list[list[int]]``
@@ -16,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from math import gcd, lcm, prod
+from math import gcd, prod
 from typing import Callable, Iterable, Sequence
 
 Row = Sequence[int]
@@ -332,87 +332,33 @@ def kernel_basis(rows: Sequence[Row], ambient: int) -> list[list[int]]:
     The kernel of an integer matrix is a saturated lattice, so this basis
     spans it over Z, not merely over Q.
     """
-    return [list(r) for r in _right_kernel(rows, ambient).rows]
-
-
-def _right_kernel(rows: Sequence[Row], ambient: int) -> SubmoduleLattice:
-    """Hermite form of the right kernel: fold each column of the matrix
-    with the matching unit vector as its tail."""
-    columns = ([r[j] for r in rows] for j in range(ambient))
-    units = ([int(i == j) for i in range(ambient)] for j in range(ambient))
-    return split_hnf(zip(columns, units), len(rows), ambient)[2]
+    return [list(r) for r in evaluation_kernel([(r, 0) for r in rows], ambient).rows]
 
 
 def smith_normal_form(rows: Sequence[Row], ambient: int) -> list[int]:
     """Diagonal of the Smith normal form: d_1 | d_2 | ... | d_r, all > 0.
 
     ``rows`` are relations in Z^ambient; only the nonzero diagonal is
-    returned (its length is the rank of the matrix).
+    returned (its length is the rank of the matrix).  Hermite folds of the
+    rows and of the transpose alternate until each row has one nonzero
+    entry; pairwise gcd/lcm then makes the diagonal a divisor chain (Kannan
+    and Bachem, SIAM J. Comput. 8, 1979; Cohen 1993, 2.4.4).
 
     >>> smith_normal_form([[2, 0], [0, 3]], 2)
     [1, 6]
     >>> smith_normal_form([[0, 0], [0, 0]], 2)
     []
     """
-    m = [list(r) for r in rows]
-    R, C = len(m), ambient
-    diag: list[int] = []
-    i0 = 0
-    j0 = 0
-    while i0 < R and j0 < C:
-        best = None
-        for i in range(i0, R):
-            for j in range(j0, C):
-                if m[i][j] and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        while True:
-            bi, bj = best
-            if bi != i0:
-                m[i0], m[bi] = m[bi], m[i0]
-            if bj != j0:
-                for row in m:
-                    row[j0], row[bj] = row[bj], row[j0]
-            p = m[i0][j0]
-            dirty = False
-            for i in range(i0 + 1, R):
-                if m[i][j0]:
-                    q = m[i][j0] // p
-                    m[i] = [a - q * b for a, b in zip(m[i], m[i0])]
-                    if m[i][j0]:
-                        dirty = True
-            for j in range(j0 + 1, C):
-                if m[i0][j]:
-                    q = m[i0][j] // p
-                    if q:
-                        for i in range(i0, R):
-                            m[i][j] -= q * m[i][j0]
-                    if m[i0][j]:
-                        dirty = True
-            if dirty:
-                best = None
-                for i in range(i0, R):
-                    for j in range(j0, C):
-                        if m[i][j] and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                            best = (i, j)
-                continue
-            p = abs(m[i0][j0])
-            offender = next(
-                (
-                    i
-                    for i in range(i0 + 1, R)
-                    if any(m[i][j] % p for j in range(j0 + 1, C))
-                ),
-                None,
-            )
-            if offender is None:
-                break
-            m[i0] = [a + b for a, b in zip(m[i0], m[offender])]
-            best = (i0, j0)
-        diag.append(abs(m[i0][j0]))
-        i0 += 1
-        j0 += 1
+    h = LatticeBuilder(ambient, rows).snapshot()
+    # terminates: each round's first pivot divides the last one, so it
+    # settles, and then its row and column clear and the minor follows
+    while any(sum(map(bool, r)) > 1 for r in h.rows):
+        h = LatticeBuilder(h.rank, zip(*h.rows)).snapshot()
+    diag = [r[p] for r, p in zip(h.rows, h.pivots)]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
     return diag
 
 
@@ -564,12 +510,9 @@ def cokernel_invariants(relations: Sequence[Row], ambient: int) -> AbelianInvari
 # image of Z^c -> prod_i Z/m_i given by evaluation rows
 # ---------------------------------------------------------------------------
 
-def _clean_rows(
-    rows: Iterable[tuple[Row, int]],
-) -> tuple[list[list[int]], list[tuple[list[int], int]]]:
+def _clean_rows(rows: Iterable[tuple[Row, int]]) -> list[tuple[list[int], int]]:
     """Normalise (vector, modulus) constraints; drop duplicates and zeros."""
-    free: list[list[int]] = []
-    tors: list[tuple[list[int], int]] = []
+    out: list[tuple[list[int], int]] = []
     seen: set[tuple[int, ...]] = set()
     for vec, m in rows:
         if m < 0:
@@ -581,68 +524,50 @@ def _clean_rows(
             lead = next(c for c in v if c)
             if lead < 0:
                 v = [-c for c in v]
-            key = (0, *v)
-            if key not in seen:
-                seen.add(key)
-                free.append(v)
         else:
             v = [c % m for c in vec]
             if not any(v):
                 continue
-            neg = [(m - c) % m for c in v]
-            v = min(v, neg)
-            key = (m, *v)
-            if key not in seen:
-                seen.add(key)
-                tors.append((v, m))
-    return free, tors
+            v = min(v, [(m - c) % m for c in v])
+        key = (m, *v)
+        if key not in seen:
+            seen.add(key)
+            out.append((v, m))
+    return out
 
 
-def _restricted_torsion(rows: Iterable[tuple[Row, int]], columns: int) -> tuple:
-    """Prelude shared by ``image_invariants`` and ``evaluation_kernel``.
-
-    Returns (h0, nbasis, level, hl): h0 is the Hermite form of the free
-    (m = 0) rows; nbasis a basis of their common kernel N; level the lcm
-    of the torsion moduli; and hl the Hermite form of the torsion rows
-    restricted to N and scaled into Z/level, so that a vector u of
-    N-coordinates satisfies every torsion row iff hl @ u == 0 (mod level).
-    Without torsion rows N is not computed (nbasis and hl are None).
-    """
-    free, tors = _clean_rows(rows)
-    h0 = hnf(free, columns) if free else ()
-    if not tors:
-        return h0, None, 0, None
-    nbasis = kernel_basis(h0, columns)
-    level = lcm(*[m for _, m in tors])
-    hl = LatticeBuilder(len(nbasis))
-    for vec, m in tors:
-        s = level // m
-        b = [s * sum(nb[j] * vec[j] for j in range(columns)) % level for nb in nbasis]
-        if any(b):
-            hl.add(b)
-    return h0, nbasis, level, hl.snapshot()
+def _evaluation_fold(rows: Iterable[tuple[Row, int]], columns: int, tail: int) -> tuple:
+    """One ``split_hnf`` of Z^columns -> prod Z/m_i: the columns [A e_j | e_j]
+    of the cleaned functionals A, tails cut to ``tail`` entries, and the rows
+    [m_i e_i | 0] spanning the moduli lattice D (free functionals add none).
+    Returns (D, image, relations): the image is A Z^columns + D, and with
+    ``tail`` = columns the relations are the kernel {v : A v in D}."""
+    functionals = _clean_rows(rows)
+    r = len(functionals)
+    at = tuple(k for k, (_, m) in enumerate(functionals) if m)
+    d_rows = tuple(tuple(functionals[k][1] * (i == k) for i in range(r)) for k in at)
+    heads = ([v[j] for v, _ in functionals] for j in range(columns))
+    units = ([int(i == j) for i in range(tail)] for j in range(columns))
+    pairs = [*zip(heads, units), *((d, [0] * tail) for d in d_rows)]
+    _, image, relations = split_hnf(pairs, r, tail)
+    return SubmoduleLattice(r, d_rows, at), image, relations
 
 
 def image_invariants(rows: Iterable[tuple[Row, int]], columns: int) -> AbelianInvariants:
     """Invariants of the image of the evaluation map Z^columns -> prod Z/m_i.
 
     Each element of ``rows`` is a pair (vector, m): one linear functional
-    landing in Z/m (m = 0 means Z).  The free rows contribute their rank.
-    The torsion part is the subgroup of (Z/level)^dim(N) spanned by the
-    rows of the restricted Hermite form hl; a Smith diagonal d_1 | ... | d_k
-    of hl makes it the sum of Z/(level / gcd(d_i, level)) (Storjohann and
-    Mulders, "Fast algorithms for linear algebra modulo N", 1998).
+    landing in Z/m (m = 0 means Z).  The image is (A Z^columns + D) / D, the
+    heads of a heads-only ``_evaluation_fold`` modulo the moduli lattice D,
+    whose rows m_i e_i are a Hermite form already.
 
     >>> image_invariants([([1, 0], 2), ([0, 1], 2)], 2)
     AbelianInvariants(torsion=(2, 2), free_rank=0)
     >>> image_invariants([([0, 0], 7)], 2)      # zero map: trivial image
     AbelianInvariants(torsion=(), free_rank=0)
     """
-    h0, _, level, hl = _restricted_torsion(rows, columns)
-    if hl is None:
-        return AbelianInvariants((), len(h0))
-    orders = [level // gcd(d, level) for d in smith_normal_form(hl.rows, hl.ambient)]
-    return AbelianInvariants(tuple(reversed([d for d in orders if d > 1])), len(h0))
+    moduli, image, _ = _evaluation_fold(rows, columns, 0)
+    return image.quotient_invariants(moduli)
 
 
 def evaluation_kernel(rows: Iterable[tuple[Row, int]], columns: int) -> SubmoduleLattice:
@@ -650,19 +575,11 @@ def evaluation_kernel(rows: Iterable[tuple[Row, int]], columns: int) -> Submodul
 
     This is the relation lattice of the image computed by
     ``image_invariants``: Z^columns / kernel is isomorphic to the image.
+
+    >>> evaluation_kernel([([1, 1], 2), ([1, -1], 0)], 2).rows
+    ((1, 1),)
     """
-    h0, nbasis, level, hl = _restricted_torsion(rows, columns)
-    if hl is None:
-        return _right_kernel(h0, columns)
-    # u in the kernel iff hl @ u is divisible by `level` coordinatewise: the
-    # right kernel of [hl | level*I], folded column by column with the N
-    # basis rows (zero for the level*I columns) as tails, so its relations
-    # come out in Z^columns.
-    r = hl.rank
-    pairs = [([row[k] for row in hl.rows], nb) for k, nb in enumerate(nbasis)]
-    zero = [0] * columns
-    pairs += [([level * (i == k) for i in range(r)], zero) for k in range(r)]
-    return split_hnf(pairs, r, columns)[2]
+    return _evaluation_fold(rows, columns, columns)[2]
 
 
 def field_rank(rows: Iterable[Row], columns: int, q: int = 0) -> int:

@@ -48,6 +48,7 @@ from .rings import (
 )
 from .specht import (
     adjacent_transpositions,
+    check_tabloid_degree,
     conjugacy_class_reps,
     cycle_type,
     find_c,
@@ -763,6 +764,8 @@ def verify_ut2(
     the proper identification with a hook Specht quotient, and the
     filtration factor table at n <= 4."""
     model = ut2(ell, m)
+    if n_max > 1:
+        _check_degree(model, n_max, None)
     label = model.label
     basis = ut2_identity_basis(ell, m)
     for n in sorted({f.degree for f in basis} | set(range(2, n_max + 1))):
@@ -1032,6 +1035,7 @@ def _is_prime(p: int) -> bool:
 def verify_specht_torsionfree(n_max: int = 6) -> list[VerificationOutcome]:
     """Every valid pair at every degree up to n_max spans a direct
     summand (all Smith invariant factors 1)."""
+    check_tabloid_degree(n_max)
     out = []
     for n in range(1, n_max + 1):
         bad = [
@@ -1049,6 +1053,7 @@ def verify_specht_torsionfree(n_max: int = 6) -> list[VerificationOutcome]:
 def verify_psi_outcomes(n_max: int = 6) -> list[VerificationOutcome]:
     """Image and kernel identities of the row-merging map, for every
     pair where the recursion step applies."""
+    check_tabloid_degree(n_max)
     out = []
     for n in range(1, n_max + 1):
         bad = []
@@ -1073,6 +1078,7 @@ def verify_young(
     """Interlacing factor multiset, each shape once, plus mod-m factor
     invariants (m, ..., m) with hook-number multiplicity, for every
     induced filtration with sum(lam) < n <= n_max."""
+    check_tabloid_degree(n_max)
     out = []
     for n in range(2, n_max + 1):
         for m in moduli:

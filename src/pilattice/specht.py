@@ -175,6 +175,12 @@ def valid_pairs(n: int) -> tuple[PartitionPair, ...]:
 MAX_DEGREE = 7
 
 
+def check_tabloid_degree(n: int) -> None:
+    """Raise ValueError when degree n exceeds ``MAX_DEGREE``."""
+    if n > MAX_DEGREE:
+        raise ValueError(f"degree {n} exceeds the supported bound {MAX_DEGREE}")
+
+
 @lru_cache(maxsize=None)
 def tabloid_module_basis(mu: Composition) -> tuple[Tabloid, ...]:
     """All mu-tabloids, ordered lexicographically by row contents.
@@ -185,8 +191,7 @@ def tabloid_module_basis(mu: Composition) -> tuple[Tabloid, ...]:
     if not is_composition(mu):
         raise ValueError(f"{mu} is not a composition")
     n = sum(mu)
-    if n > MAX_DEGREE:
-        raise ValueError(f"degree {n} exceeds the supported bound {MAX_DEGREE}")
+    check_tabloid_degree(n)
 
     def rec(rows_left: Composition, remaining: tuple[int, ...]) -> Iterator[Tabloid]:
         if not rows_left:

@@ -225,6 +225,8 @@ def test_verify_usage_errors(capsys):
         assert main(["verify", claim, "--n-max", "1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "selects no checks" in captured.err
+    assert main(["verify", "young", "--n-max", "8"]) == 1
+    assert "exceeds the supported bound 7" in capsys.readouterr().err
 
 
 def test_verify_csv(capsys, monkeypatch):

@@ -116,9 +116,9 @@ def oracle_snf(rows, ambient):
     return out
 
 
-def brute_image_order(gens, moduli):
-    """Order of the subgroup of prod Z/m generated by ``gens`` (all moduli
-    finite), by direct closure."""
+def brute_image(gens, moduli):
+    """The subgroup of prod Z/m generated by ``gens`` (all moduli finite),
+    by direct closure."""
     seen = {tuple(0 for _ in moduli)}
     frontier = list(seen)
     reduced = [tuple(x % m for x, m in zip(g, moduli)) for g in gens]
@@ -129,7 +129,7 @@ def brute_image_order(gens, moduli):
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    return len(seen)
+    return seen
 
 
 def subgroup_functionals(gens, moduli):
@@ -224,6 +224,12 @@ def test_image_invariants_frozen():
     assert image_invariants([((1, 0), 4), ((0, 1), 6)], 2) == AbelianInvariants((2, 12), 0)
     # one all-ones functional mod 6 on 120 columns (cyclic(6) at n = 5)
     assert image_invariants([((1,) * 120, 6)], 120) == AbelianInvariants((6,), 0)
+    # dependent free functionals next to a torsion one
+    rows = [((1, 1), 0), ((2, 2), 0), ((1, 0), 4)]
+    assert image_invariants(rows, 2) == AbelianInvariants((4,), 1)
+    # mixed moduli on three columns
+    rows = [((1, 0, 2), 4), ((0, 2, 2), 6), ((1, 1, 1), 0)]
+    assert image_invariants(rows, 3) == AbelianInvariants((12,), 1)
     with pytest.raises(ValueError):
         image_invariants([((1,), -2)], 1)
 
@@ -246,6 +252,10 @@ def test_evaluation_kernel_frozen():
     # 2x mod 4 and y over Z: even first coordinate, zero second
     ker = evaluation_kernel([((2, 0), 4), ((0, 1), 0)], 2)
     assert ker.rows == ((2, 0),)
+    ker = evaluation_kernel([((1, 1), 0), ((2, 2), 0), ((1, 0), 4)], 2)
+    assert ker.rows == ((4, -4),)
+    ker = evaluation_kernel([((1, 0, 2), 4), ((0, 2, 2), 6), ((1, 1, 1), 0)], 3)
+    assert ker.rows == ((6, 1, -7), (0, 2, -2))
 
 
 def test_split_hnf_preimage():
@@ -425,7 +435,7 @@ def test_direct_sum_regroups(ta, tb, fa, fb):
 def test_image_order_matches_bruteforce(gens):
     moduli = (4, 6)
     inv = image_invariants(subgroup_functionals(gens, moduli), len(gens))
-    assert inv.order() == brute_image_order(gens, moduli)
+    assert inv.order() == len(brute_image(gens, moduli))
 
 
 # target moduli: free (0), prime, prime-power and mixed torsion
@@ -444,7 +454,7 @@ def test_kernel_index_equals_image_order(gens, moduli):
     # the image read off the Smith diagonal is Z^columns / kernel
     assert image_invariants(functionals, len(gens)) == inv
     if all(moduli):
-        assert inv.order() == brute_image_order(gens, moduli)
+        assert inv.order() == len(brute_image(gens, moduli))
 
 
 @given(pair_rows)
@@ -455,6 +465,52 @@ def test_kernel_membership_with_free_functional(gens):
         for vec, m in functionals:
             val = sum(a * b for a, b in zip(v, vec))
             assert val % m == 0 if m else val == 0
+
+
+evaluation_map = st.integers(1, 3).flatmap(
+    lambda cols: st.tuples(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(-6, 6), min_size=cols, max_size=cols),
+                st.sampled_from((0, 2, 3, 4, 6, 8, 9, 12)),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.just(cols),
+    )
+)
+
+
+@settings(deadline=None)
+@given(evaluation_map)
+def test_evaluation_map_matches_brute_force(data):
+    """The value group and the kernel against enumeration: with every
+    modulus finite, the d-torsion counts of the generated subgroup for every
+    d dividing its exponent (which pin the group down, not just its order);
+    for any moduli, every small vector that satisfies the functionals."""
+    functionals, cols = data
+
+    def satisfies(v):
+        values = (sum(a * b for a, b in zip(vec, v)) for vec, _ in functionals)
+        return all(x % m == 0 if m else x == 0 for x, (_, m) in zip(values, functionals))
+
+    ker = evaluation_kernel(functionals, cols)
+    assert all(satisfies(v) for v in ker.rows)
+    for v in itertools.product(range(-12, 13), repeat=cols):
+        if satisfies(v):
+            assert ker.contains(v)
+    moduli = [m for _, m in functionals]
+    if not all(moduli):
+        return
+    inv = image_invariants(functionals, cols)
+    assert inv.free_rank == 0
+    group = brute_image([[vec[j] for vec, _ in functionals] for j in range(cols)], moduli)
+    exponent = math.lcm(*(m // math.gcd(x, m) for g in group for x, m in zip(g, moduli)))
+    for d in range(1, exponent + 1):
+        if exponent % d == 0:
+            killed = sum(all(d * x % m == 0 for x, m in zip(g, moduli)) for g in group)
+            assert killed == math.prod(math.gcd(d, t) for t in inv.torsion)
 
 
 def full_orbit_fold(n, seeds, stable=()):

@@ -532,6 +532,23 @@ def test_run_claim_uses_the_given_config():
     )
 
 
+def test_verify_degree_caps_fail_before_any_work(monkeypatch):
+    def untouchable(*args, **kwargs):
+        raise AssertionError("the degree cap was checked after the work began")
+
+    for name in (
+        "induce_mod", "specht_lattice", "verify_psi_lemma",
+        "identities_vanish", "_invariants",
+    ):
+        monkeypatch.setattr(pitheory, name, untouchable)
+    with pytest.raises(ValueError, match="degree 8 exceeds the supported bound 7"):
+        run_claim("young", {"n_max": 8})
+    with pytest.raises(ValueError, match="degree 8 exceeds the supported bound 7"):
+        run_claim("specht.torsionfree", {"n_max": 8})
+    with pytest.raises(ValueError, match="n=6 exceeds the configured bound 5"):
+        run_claim("ut2.codim", {"subjects": [(2, 2)], "n_max": 6})
+
+
 def test_run_claim_unknown():
     with pytest.raises(KeyError, match="unknown claim"):
         run_claim("nonsense")

@@ -25,6 +25,8 @@ kernel_lattice(model, 3)
 summary = tracer.summary()
 assert summary["counts"]["rings.tuples"] == tuple_count(model, 3), summary
 assert summary["calls"]["pitheory.eval"] == 1, summary
+assert summary["calls"]["lattices.image"] == 2, summary
+assert summary["calls"]["lattices.kernel"] == 1, summary
 """
 
 
