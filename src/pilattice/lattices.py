@@ -297,7 +297,9 @@ def split_hnf(
     sum c_i t_i whose heads cancel (sum c_i h_i = 0) in Z^tail, and
     ``whole`` the echelon fold left with only its head-pivot rows, against
     which ``preimage`` lifts a vector of the image to a tail (Cohen, *A
-    Course in Computational Algebraic Number Theory*, 1993, 2.4).
+    Course in Computational Algebraic Number Theory*, 1993, 2.4).  The order
+    of the pairs changes the cost and ``whole``, never ``image`` or
+    ``relations``.
 
     >>> _, image, relations = split_hnf([([1, 2], [1, 0]), ([2, 4], [0, 1])], 2, 2)
     >>> image.rows, relations.rows
@@ -541,13 +543,19 @@ def _evaluation_fold(rows: Iterable[tuple[Row, int]], columns: int, tail: int) -
     of the cleaned functionals A, tails cut to ``tail`` entries, and the rows
     [m_i e_i | 0] spanning the moduli lattice D (free functionals add none).
     Returns (D, image, relations): the image is A Z^columns + D, and with
-    ``tail`` = columns the relations are the kernel {v : A v in D}."""
+    ``tail`` = columns the relations are the kernel {v : A v in D}.
+
+    The columns go last-first.  The tails already folded touch only columns
+    above j, so a relation met while folding column j has its pivot at j,
+    left of every relation so far: it is inserted without meeting the other
+    relations, and the Hermite form has no dense triangle to back-reduce."""
     functionals = _clean_rows(rows)
     r = len(functionals)
     at = tuple(k for k, (_, m) in enumerate(functionals) if m)
     d_rows = tuple(tuple(functionals[k][1] * (i == k) for i in range(r)) for k in at)
-    heads = ([v[j] for v, _ in functionals] for j in range(columns))
-    units = ([int(i == j) for i in range(tail)] for j in range(columns))
+    order = range(columns - 1, -1, -1)
+    heads = ([v[j] for v, _ in functionals] for j in order)
+    units = ([int(i == j) for i in range(tail)] for j in order)
     pairs = [*zip(heads, units), *((d, [0] * tail) for d in d_rows)]
     _, image, relations = split_hnf(pairs, r, tail)
     return SubmoduleLattice(r, d_rows, at), image, relations

@@ -20,7 +20,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .lattices import (
     LatticeBuilder,
-    SubmoduleLattice,
     json_restore_int,
     json_sanitize,
 )
@@ -237,7 +236,9 @@ class RingModel:
                     vec[k] = c
                 if builder.add(vec):
                     closed = False
-        if builder.snapshot() != SubmoduleLattice.full(self.rank):
+        if builder.rank() != self.rank or any(
+            r[j] != 1 for r, j in zip(builder.rows, builder.pivots)
+        ):
             raise ValueError(
                 f"{self.label}: declared generators do not generate the ring"
             )

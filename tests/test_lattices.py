@@ -12,10 +12,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pilattice import lattices, pitheory
 from pilattice.lattices import (
     AbelianInvariants,
     LatticeBuilder,
     SubmoduleLattice,
+    _clean_rows,
+    _evaluation_fold,
     cokernel_invariants,
     evaluation_kernel,
     field_rank,
@@ -31,6 +34,7 @@ from pilattice.lattices import (
     split_hnf,
 )
 from pilattice.pitheory import monomial_action_map
+from pilattice.rings import cyclic_ring
 from pilattice.specht import adjacent_transpositions
 
 
@@ -130,6 +134,17 @@ def brute_image(gens, moduli):
                 seen.add(nxt)
                 frontier.append(nxt)
     return seen
+
+
+def assert_torsion_counts(group, moduli, inv):
+    """The d-torsion counts of the enumerated ``group`` in prod Z/m, for
+    every d dividing its exponent, against the invariants ``inv``: they pin
+    the group down, not just its order."""
+    exponent = math.lcm(*(m // math.gcd(x, m) for g in group for x, m in zip(g, moduli)))
+    for d in range(1, exponent + 1):
+        if exponent % d == 0:
+            killed = sum(all(d * x % m == 0 for x, m in zip(g, moduli)) for g in group)
+            assert killed == math.prod(math.gcd(d, t) for t in inv.torsion)
 
 
 def subgroup_functionals(gens, moduli):
@@ -506,11 +521,54 @@ def test_evaluation_map_matches_brute_force(data):
     inv = image_invariants(functionals, cols)
     assert inv.free_rank == 0
     group = brute_image([[vec[j] for vec, _ in functionals] for j in range(cols)], moduli)
-    exponent = math.lcm(*(m // math.gcd(x, m) for g in group for x, m in zip(g, moduli)))
-    for d in range(1, exponent + 1):
-        if exponent % d == 0:
-            killed = sum(all(d * x % m == 0 for x, m in zip(g, moduli)) for g in group)
-            assert killed == math.prod(math.gcd(d, t) for t in inv.torsion)
+    assert_torsion_counts(group, moduli, inv)
+
+
+@settings(deadline=None)
+@given(evaluation_map, st.randoms(use_true_random=False))
+def test_evaluation_fold_is_order_independent(data, rng):
+    """The pairs of ``_evaluation_fold`` folded last-first, forward and
+    shuffled (moduli rows included) give the same image and relations: the
+    fold order is chosen for cost only."""
+    functionals, cols = data
+    cleaned = _clean_rows(functionals)
+    r = len(cleaned)
+    columns = [
+        ([v[j] for v, _ in cleaned], [int(i == j) for i in range(cols)]) for j in range(cols)
+    ]
+    moduli = [
+        ([m * (i == k) for i in range(r)], [0] * cols) for k, (_, m) in enumerate(cleaned) if m
+    ]
+    shuffled = columns + moduli
+    rng.shuffle(shuffled)
+    _, image, relations = _evaluation_fold(functionals, cols, cols)
+    for pairs in (columns[::-1] + moduli, columns + moduli, shuffled):
+        assert split_hnf(pairs, r, cols)[1:] == (image, relations)
+
+
+def test_evaluation_kernel_makes_few_hermite_updates(monkeypatch):
+    """A work guard free of wall-clock time: the kernel of cyclic(6) at
+    n = 5 (one functional, 120 columns) must leave the Hermite form little
+    to back-reduce.  A first-to-last column fold leaves a dense triangle of
+    relations and makes 7,140 row updates here."""
+    original = lattices._hermite
+    updates = 0
+
+    def counting(ambient, rows, pivots):
+        nonlocal updates
+        work = [list(r) for r in rows]
+        for i, j in enumerate(pivots):
+            for k in range(i):
+                q = work[k][j] // work[i][j]
+                if q:
+                    work[k] = [a - q * b for a, b in zip(work[k], work[i])]
+                    updates += 1
+        return original(ambient, rows, pivots)
+
+    monkeypatch.setattr(lattices, "_hermite", counting)
+    kernel = evaluation_kernel(pitheory._rows(cyclic_ring(6), 5, False), 120)
+    assert kernel.rank == 120
+    assert updates <= 120
 
 
 def full_orbit_fold(n, seeds, stable=()):

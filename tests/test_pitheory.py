@@ -50,6 +50,7 @@ from pilattice.rings import (
     tuple_count, ut2,
 )
 from pilattice.specht import specht_character
+from test_lattices import assert_torsion_counts, brute_image
 
 
 def square_zero_ring():
@@ -248,6 +249,42 @@ def test_ordinary_functionals_match_substitution(model):
 def test_orbit_walk_keeps_the_full_walk_order(model):
     for n in (1, 2, 3, 4):
         assert pitheory.evaluation_functionals(model, n) == full_walk_functionals(model, n)
+
+
+BRUTE_FORCE_MODELS = [
+    cyclic_ring(2), cyclic_ring(4), cyclic_ring(6), ut2(2, 2), ut2(4, 2),
+    direct_sum(ut2(2, 2), cyclic_ring(3)), grassmann(3, 1),
+]
+
+
+@pytest.mark.parametrize("model", BRUTE_FORCE_MODELS, ids=lambda model: model.label)
+def test_model_invariants_and_kernel_match_brute_force(model):
+    """Finite models of order at most 2^6 at n <= 3 against enumeration:
+    the value group generated by the monomial columns of the substituted
+    functionals, by its d-torsion counts, and the identities among the
+    vectors in [-2, 2]^(n!), by which ones every substitution kills."""
+    for n in (1, 2, 3):
+        rows, columns = ordinary_rows_by_substitution(model, n)
+        # repeated and zero rows change neither the group nor the kernel
+        rows = [
+            (vec, m)
+            for vec, m in dict.fromkeys((tuple(c % m for c in vec), m) for vec, m in rows)
+            if any(vec)
+        ]
+        moduli = [m for _, m in rows]
+        group = brute_image([[vec[j] for vec, _ in rows] for j in range(columns)], moduli)
+        inv = pitheory._invariants(model, n, False)
+        assert inv.free_rank == 0
+        assert_torsion_counts(group, moduli, inv)
+
+        def killed(v):
+            return all(sum(a * b for a, b in zip(vec, v)) % m == 0 for vec, m in rows)
+
+        kernel = pitheory._kernel(model, n, False)
+        assert all(killed(v) for v in kernel.rows)
+        for v in itertools.product(range(-2, 3), repeat=columns):
+            if killed(v):
+                assert kernel.contains(v)
 
 
 # ---------------------------------------------------------------------------
