@@ -875,7 +875,8 @@ def verify_grassmann(
     label = f"grassmann({ell},*)"
     basis = grassmann_identity_basis(ell)
     probe = grassmann(ell, 5)
-    degrees = range(2, min(n_max, GRASSMANN_N_MAX) + 1)
+    _check_degree(probe, n_max, None)
+    degrees = range(2, n_max + 1)
     for model, n in (
         [(probe, f.degree) for f in basis]
         + [(grassmann(ell, n + k), n) for n in degrees for k in (1, 2)]
@@ -990,10 +991,10 @@ def verify_field_props(
     else:
         raise ValueError("mixed moduli do not model an algebra over a field")
     out = []
-    bound = min(n_max, degree_bound(model))
-    for n in range(1, bound + 1):
+    _check_degree(model, n_max, None)
+    for n in range(1, n_max + 1):
         _check_budget(model, n, row_budget)
-    for n in range(1, bound + 1):
+    for n in range(1, n_max + 1):
         inv = _invariants(model, n, False)
         vectors = [row for row, _ in _rows(model, n, False)]
         rank = field_rank(vectors, len(monomial_order(n)), p)
@@ -1172,7 +1173,10 @@ def _claim_young(config: dict) -> list[VerificationOutcome]:
 
 def _claim_drensky(config: dict) -> list[VerificationOutcome]:
     models = config["models"] if "models" in config else [ut2(2, 2), grassmann(3, 4)]
-    degrees = range(2, min(config.get("n_max", 4), 4) + 1)
+    n_max = config.get("n_max", 4)
+    degrees = range(2, n_max + 1)
+    for model in models:
+        _check_degree(model, n_max, 4)
     for model in models:
         for n in degrees:
             _check_budget(model, n, config.get("row_budget"))
@@ -1190,12 +1194,15 @@ def _claim_field_props(config: dict) -> list[VerificationOutcome]:
     models = (
         config["models"] if "models" in config else [ut2(0, 0), ut2(2, 2), ut2(3, 3)]
     )
+    n_max = config.get("n_max", 4)
+    for model in models:
+        _check_degree(model, n_max, None)
     out = []
     for model in models:
         out.extend(
             verify_field_props(
                 model,
-                config.get("n_max", 4),
+                n_max,
                 row_budget=config.get("row_budget"),
             )
         )

@@ -6,6 +6,19 @@ are not assumed unital or commutative; associativity, well-definedness of
 the product against the additive torsion, and generation by the declared
 generators are all checked at construction.
 
+Every check runs on every model, but only where a product can be nonzero;
+each restriction drops only products that are exactly zero:
+
+- associativity: (e_i e_j) e_k is a sum of e_l e_k over l in the support
+  of e_i e_j, so it vanishes unless (i, j) is a table key and some (l, k)
+  is one; symmetrically for e_i (e_j e_k).  Only triples meeting one of
+  the two conditions are compared.
+- support masks: x * y vanishes unless some basis vector of y is a right
+  factor of a table key whose left factor lies in the support of x.
+- generation: once the generators and the additive relations span the
+  whole coordinate lattice, no product can enlarge it, so the closure
+  under products stops there.
+
 Built-in families: cyclic rings Z/m, the 3-dimensional odd-looking
 triangular model ut2(l, m) with basis e11, e22, e12, truncated exterior
 (Grassmann) algebras over Z/l, and finite direct sums.
@@ -67,10 +80,13 @@ class RingModel:
             if cleaned:
                 tbl[(i, j)] = cleaned
         self.table = tbl
-        # the same table indexed by left factor, then right factor
+        # the same table indexed by left factor, then right factor, and the
+        # left factors of the keys indexed by right factor
         self._products: dict[int, dict[int, tuple[tuple[int, int], ...]]] = {}
+        self._lefts: dict[int, list[int]] = {}
         for (i, j), entries in tbl.items():
             self._products.setdefault(i, {})[j] = entries
+            self._lefts.setdefault(j, []).append(i)
         self.generators = tuple(self._reduce_coords(g) for g in generators)
         self.unit = self._reduce_coords(unit) if unit is not None else None
         self.basis_names = (
@@ -167,22 +183,26 @@ class RingModel:
                             f"product e{i}*e{j} is not well defined against "
                             f"the additive torsion (entry {k})"
                         )
-        # (e_i e_j) e_k and e_i (e_j e_k) are both zero unless (i, j) or
-        # (j, k) is a key of the table, so only those triples are checked
-        after: dict[int, list[int]] = {}
-        for j, k in sorted(self.table):
-            after.setdefault(j, []).append(k)
-        for i in range(self.rank):
-            ei = {i: 1}
-            for j in range(self.rank):
-                eij = self.mul_sparse(ei, {j: 1})
-                for k in range(self.rank) if (i, j) in self.table else after.get(j, ()):
-                    left = self.mul_sparse(eij, {k: 1})
-                    right = self.mul_sparse(ei, self.mul_sparse({j: 1}, {k: 1}))
-                    if left != right:
-                        raise ValueError(
-                            f"multiplication not associative at (e{i}, e{j}, e{k})"
-                        )
+        # (e_i e_j) e_k = sum of c_l e_l e_k over l in the support of e_i e_j,
+        # so it is zero unless (i, j) and some (l, k) are keys; likewise
+        # e_i (e_j e_k) needs (j, k) and some (i, l).  Every other triple has
+        # both sides zero.  Sorted, the first failure is the one a full
+        # rank^3 walk in (i, j, k) order would report.
+        pairs = {key: self.mul_sparse({key[0]: 1}, {key[1]: 1}) for key in self.table}
+        triples = set()
+        for (i, j), eij in pairs.items():
+            for l in eij:
+                triples.update((i, j, k) for k in self._products.get(l, ()))
+        for (j, k), ejk in pairs.items():
+            for l in ejk:
+                triples.update((i, j, k) for i in self._lefts.get(l, ()))
+        for i, j, k in sorted(triples):
+            left = self.mul_sparse(pairs.get((i, j), {}), {k: 1})
+            right = self.mul_sparse({i: 1}, pairs.get((j, k), {}))
+            if left != right:
+                raise ValueError(
+                    f"multiplication not associative at (e{i}, e{j}, e{k})"
+                )
         masks = self.support_masks
         if masks is not None:
             if len(masks) != len(self.generators):
@@ -192,17 +212,26 @@ class RingModel:
             # generator_tuples skips every tuple in which two masks overlap,
             # so each word through such a pair must vanish: g_a * g_b = 0
             # and g_a * e_k * g_b = 0 for every basis vector e_k, since the
-            # factors between them multiply out to a combination of the e_k
+            # factors between them multiply out to a combination of the e_k.
+            # x * y is only multiplied out when y meets the right factors
+            # of x; otherwise it is zero.
+            def rights(x: Sparse) -> set[int]:
+                return {j for i in x for j in self._products.get(i, ())}
+
             gens = [{k: c for k, c in enumerate(g) if c} for g in self.generators]
             for a, ga in enumerate(gens):
                 partners = [b for b, mb in enumerate(masks) if masks[a] & mb]
                 if not partners:
                     continue
                 lefts = [ga] + [
-                    p for k in range(self.rank) if (p := self.mul_sparse(ga, {k: 1}))
+                    p for k in rights(ga) if (p := self.mul_sparse(ga, {k: 1}))
                 ]
+                reach = [(left, rights(left)) for left in lefts]
                 for b in partners:
-                    if any(self.mul_sparse(left, gens[b]) for left in lefts):
+                    if any(
+                        not keys.isdisjoint(gens[b]) and self.mul_sparse(left, gens[b])
+                        for left, keys in reach
+                    ):
                         raise ValueError(
                             f"generators {a} and {b} have overlapping support "
                             f"masks but a word through both is nonzero"
@@ -222,10 +251,14 @@ class RingModel:
                 builder.add(tuple(m if i == k else 0 for i in range(self.rank)))
         for g in self.generators:
             builder.add(g)
-        closed = False
-        while not closed:
-            closed = True
+        # close under products until the lattice is all of Z^rank (full rank,
+        # every pivot 1), where no product can enlarge it any more; built-in
+        # families get there from their generators alone
+        while builder.rank() != self.rank or any(
+            r[j] != 1 for r, j in zip(builder.rows, builder.pivots)
+        ):
             rows = [list(r) for r in builder.rows]
+            grown = False
             for a, b in itertools.product(rows, repeat=2):
                 prod = self.mul_sparse(
                     {i: c for i, c in enumerate(a) if c},
@@ -235,13 +268,11 @@ class RingModel:
                 for k, c in prod.items():
                     vec[k] = c
                 if builder.add(vec):
-                    closed = False
-        if builder.rank() != self.rank or any(
-            r[j] != 1 for r, j in zip(builder.rows, builder.pivots)
-        ):
-            raise ValueError(
-                f"{self.label}: declared generators do not generate the ring"
-            )
+                    grown = True
+            if not grown:
+                raise ValueError(
+                    f"{self.label}: declared generators do not generate the ring"
+                )
 
     def is_commutative(self) -> bool:
         for i in range(self.rank):

@@ -227,6 +227,11 @@ def test_verify_usage_errors(capsys):
         assert captured.out == "" and "selects no checks" in captured.err
     assert main(["verify", "young", "--n-max", "8"]) == 1
     assert "exceeds the supported bound 7" in capsys.readouterr().err
+    # over-cap degrees are rejected, not silently clamped
+    for claim, n_max in (("drensky", 5), ("grassmann.codim", 5), ("field-props", 6)):
+        assert main(["verify", claim, "--n-max", str(n_max)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "exceeds the configured bound" in captured.err
 
 
 def test_verify_csv(capsys, monkeypatch):

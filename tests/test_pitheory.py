@@ -575,7 +575,7 @@ def test_verify_degree_caps_fail_before_any_work(monkeypatch):
 
     for name in (
         "induce_mod", "specht_lattice", "verify_psi_lemma",
-        "identities_vanish", "_invariants",
+        "identities_vanish", "_invariants", "_check_budget", "drensky_outcomes",
     ):
         monkeypatch.setattr(pitheory, name, untouchable)
     with pytest.raises(ValueError, match="degree 8 exceeds the supported bound 7"):
@@ -584,6 +584,12 @@ def test_verify_degree_caps_fail_before_any_work(monkeypatch):
         run_claim("specht.torsionfree", {"n_max": 8})
     with pytest.raises(ValueError, match="n=6 exceeds the configured bound 5"):
         run_claim("ut2.codim", {"subjects": [(2, 2)], "n_max": 6})
+    with pytest.raises(ValueError, match="n=5 exceeds the configured bound 4"):
+        run_claim("drensky", {"n_max": 5})
+    with pytest.raises(ValueError, match="n=5 exceeds the configured bound 4"):
+        run_claim("grassmann.codim", {"subjects": [3], "n_max": 5})
+    with pytest.raises(ValueError, match="n=6 exceeds the configured bound 5"):
+        run_claim("field-props", {"n_max": 6})
 
 
 def test_run_claim_unknown():

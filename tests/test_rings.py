@@ -1,11 +1,13 @@
 """Structure-constant ring models: arithmetic, validation, serialization."""
 
+import itertools
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pilattice.multilinear import bracket_poly
 from pilattice.pitheory import ordinary_codim
-from pilattice.lattices import AbelianInvariants
+from pilattice.lattices import AbelianInvariants, LatticeBuilder
 from pilattice.rings import (
     RingModel,
     commutator_element,
@@ -194,22 +196,27 @@ def test_rejects_support_masks_that_hide_nonzero_products():
     assert ordinary_codim(RingModel(**idempotents), 2).ordinary == AbelianInvariants((), 1)
 
 
-def test_rejects_support_masks_that_hide_a_separated_product():
-    # a*a = 0, yet a*b*a != 0: a tuple with a twice still has nonzero words
+def separated_words(support_masks=None):
+    """Words a, b, ab, ba, aba multiplied by concatenation, other words 0."""
     words = ("a", "b", "ab", "ba", "aba")
     index = {w: i for i, w in enumerate(words)}
     table = {
         (index[u], index[v]): ((index[u + v], 1),)
         for u in words for v in words if u + v in index
     }
+    return RingModel(
+        label="aba",
+        moduli=(0,) * 5,
+        table=table,
+        generators=((1, 0, 0, 0, 0), (0, 1, 0, 0, 0)),
+        support_masks=support_masks,
+    )
+
+
+def test_rejects_support_masks_that_hide_a_separated_product():
+    # a*a = 0, yet a*b*a != 0: a tuple with a twice still has nonzero words
     with pytest.raises(ValueError, match="overlapping support masks"):
-        RingModel(
-            label="aba",
-            moduli=(0,) * 5,
-            table=table,
-            generators=((1, 0, 0, 0, 0), (0, 1, 0, 0, 0)),
-            support_masks=(1, 0),
-        )
+        separated_words(support_masks=(1, 0))
 
 
 def test_support_masks_are_part_of_the_identity():
@@ -222,6 +229,180 @@ def test_support_masks_are_part_of_the_identity():
     unmasked = RingModel(**fields)
     assert masked == g and unmasked != masked
     assert ordinary_codim(unmasked, 3).ordinary == ordinary_codim(masked, 3).ordinary
+
+
+def exterior_z2(generators):
+    """The integral exterior algebra on basis 1, e1, e2, e12."""
+    return RingModel(
+        label="exterior-z2",
+        moduli=(0, 0, 0, 0),
+        table={
+            (0, 0): ((0, 1),), (0, 1): ((1, 1),), (0, 2): ((2, 1),),
+            (0, 3): ((3, 1),), (1, 0): ((1, 1),), (2, 0): ((2, 1),),
+            (3, 0): ((3, 1),), (1, 2): ((3, 1),), (2, 1): ((3, -1),),
+        },
+        generators=generators,
+        unit=(1, 0, 0, 0),
+    )
+
+
+def test_generation_closes_under_products():
+    # e12 is not a generator, so only the product e1 * e2 reaches it
+    model = exterior_z2(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)))
+    doc = model.to_json()
+    rebuilt = RingModel.from_json(doc)
+    assert rebuilt == model and rebuilt.to_json() == doc
+    with pytest.raises(ValueError, match="generate"):
+        exterior_z2(((1, 0, 0, 0), (0, 1, 0, 0)))
+
+
+def test_validating_grassmann_makes_few_products(monkeypatch):
+    """A work guard free of wall-clock time: grassmann(3,6) has rank 64 and
+    729 nonzero basis products, and validation multiplies only where a
+    product can be nonzero.  A rank^3 associativity walk, an unrestricted
+    mask check and an unconditional generation closure make 279,811
+    products here."""
+    model = grassmann(3, 6)
+    original = RingModel.mul_sparse
+    calls = 0
+
+    def counting(self, a, b):
+        nonlocal calls
+        calls += 1
+        return original(self, a, b)
+
+    monkeypatch.setattr(RingModel, "mul_sparse", counting)
+    model.validate()
+    assert calls <= 25_000
+
+
+ERROR_KINDS = ("not well defined", "associative", "support masks", "identity", "generate")
+
+
+def reference_error(moduli, table, generators, unit=None, support_masks=None):
+    """The error kind ``RingModel`` must raise, or None: every check on every
+    basis triple, generator pair and product, with dense arithmetic and no
+    restriction to the support of the table."""
+    rank = len(moduli)
+
+    def red(vec):
+        return tuple(v % m if m else v for v, m in zip(vec, moduli))
+
+    tbl = {}
+    for (i, j), entries in table.items():
+        cleaned = [(k, c) for k, c in entries if (c % moduli[k] if moduli[k] else c)]
+        if cleaned:
+            tbl[(i, j)] = cleaned
+
+    def mul(a, b):
+        out = [0] * rank
+        for (i, j), entries in tbl.items():
+            for k, c in entries:
+                out[k] += a[i] * b[j] * c
+        return red(out)
+
+    basis = [tuple(int(i == k) for i in range(rank)) for k in range(rank)]
+    zero = (0,) * rank
+    for (i, j), entries in tbl.items():
+        for k, c in entries:
+            for source in (i, j):
+                if red([moduli[source] * c * x for x in basis[k]]) != zero:
+                    return "not well defined"
+    for ei, ej, ek in itertools.product(basis, repeat=3):
+        if mul(mul(ei, ej), ek) != mul(ei, mul(ej, ek)):
+            return "associative"
+    gens = [red(g) for g in generators]
+    if support_masks is not None:
+        if len(support_masks) != len(gens):
+            return "support masks"
+        for (a, ga), (b, gb) in itertools.product(enumerate(gens), repeat=2):
+            if support_masks[a] & support_masks[b] and any(
+                mul(left, gb) != zero for left in [ga] + [mul(ga, e) for e in basis]
+            ):
+                return "support masks"
+    if unit is not None:
+        one = red(unit)
+        if any(mul(one, e) != red(e) or mul(e, one) != red(e) for e in basis):
+            return "identity"
+    builder = LatticeBuilder(rank)
+    for k, m in enumerate(moduli):
+        if m:
+            builder.add(tuple(m * v for v in basis[k]))
+    for g in gens:
+        builder.add(g)
+    closed = False
+    while not closed:
+        rows = [tuple(r) for r in builder.rows]
+        closed = not any([builder.add(mul(a, b)) for a in rows for b in rows])
+    if builder.rank() != rank or any(
+        r[j] != 1 for r, j in zip(builder.rows, builder.pivots)
+    ):
+        return "generate"
+    return None
+
+
+VALID_SEEDS = [
+    cyclic_ring(0), cyclic_ring(2), cyclic_ring(4), ut2(0, 0), ut2(4, 2),
+    ut2(3, 3), grassmann(3, 2), grassmann(0, 2), grassmann(0, 1),
+    direct_sum(cyclic_ring(3), cyclic_ring(0)),
+    direct_sum(ut2(2, 2), cyclic_ring(2)),
+    exterior_z2(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))),
+    separated_words(),
+]
+
+
+@st.composite
+def model_arguments(draw):
+    """Keyword arguments for ``RingModel``: a random table, or a valid model
+    with at most one corrupted entry, with optional unit, support masks and
+    generators that need not be basis vectors."""
+    if draw(st.booleans()):
+        seed = draw(st.sampled_from(VALID_SEEDS))
+        moduli, rank = list(seed.moduli), seed.rank
+        table = {key: list(entries) for key, entries in seed.table.items()}
+        unit, own = seed.unit, [seed.generators]
+        if draw(st.booleans()):
+            key = (draw(st.integers(0, rank - 1)), draw(st.integers(0, rank - 1)))
+            entry = (draw(st.integers(0, rank - 1)), draw(st.integers(-3, 3)))
+            table[key] = table.get(key, [])[:draw(st.integers(0, 1))] + [entry]
+    else:
+        rank = draw(st.integers(1, 5))
+        moduli = draw(st.lists(st.sampled_from((0, 2, 3, 4)), min_size=rank, max_size=rank))
+        index = st.integers(0, rank - 1)
+        table = draw(st.dictionaries(
+            st.tuples(index, index),
+            st.lists(st.tuples(index, st.integers(-3, 3)), min_size=1, max_size=2),
+            max_size=rank * rank,
+        ))
+        unit, own = None, []
+    coords = st.tuples(*[st.integers(-2, 2)] * rank)
+    basis = [tuple(int(i == k) for i in range(rank)) for k in range(rank)]
+    generators = draw(st.one_of(
+        st.sampled_from(own + [basis]),
+        st.lists(st.sampled_from(basis), min_size=1, max_size=rank),
+        st.lists(coords, min_size=1, max_size=rank + 1),
+    ))
+    if unit is None or not draw(st.booleans()):
+        unit = draw(st.one_of(st.none(), coords))
+    masks = draw(st.one_of(
+        st.none(),
+        st.lists(st.integers(0, 3), min_size=len(generators), max_size=len(generators)),
+        st.lists(st.integers(0, 3), max_size=rank + 1),
+    ))
+    return dict(moduli=moduli, table=table, generators=generators, unit=unit,
+                support_masks=masks)
+
+
+@settings(max_examples=400, deadline=None)
+@given(model_arguments())
+def test_validation_matches_unrestricted_reference(args):
+    expected = reference_error(**args)
+    try:
+        RingModel(label="probe", **args)
+        got = None
+    except ValueError as exc:
+        got = next(kind for kind in ERROR_KINDS if kind in str(exc))
+    assert got == expected
 
 
 def test_element_model_mismatch():
