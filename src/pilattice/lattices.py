@@ -16,6 +16,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress, count, islice
 from math import gcd, prod
 from typing import Callable, Iterable, Sequence
 
@@ -41,19 +43,25 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
+def _support(row: Row, start: int) -> tuple[int, ...]:
+    """Columns of the nonzero entries of ``row`` from ``start`` on."""
+    return tuple(compress(range(start, len(row)), islice(row, start, None)))
+
+
 class _Echelon:
     """Reduction against echelon ``rows`` with strictly increasing
-    ``pivots``, shared by the streaming builder and the frozen lattice."""
+    ``pivots``, shared by the streaming builder and the frozen lattice;
+    row i acts only on ``supports[i]``, its nonzero columns."""
 
     __slots__ = ()
 
     def reduce(self, row: Row) -> list[int]:
         """Remainder of ``row`` after reduction against the basis."""
         v = list(row)
-        for r, j in zip(self.rows, self.pivots):
-            q = v[j] // r[j]
-            if q:
-                v = [a - q * b for a, b in zip(v, r)]
+        for r, j, support in zip(self.rows, self.pivots, self.supports):
+            if q := v[j] // r[j]:
+                for c in support:
+                    v[c] -= q * r[c]
         return v
 
     def contains(self, row: Row) -> bool:
@@ -73,14 +81,21 @@ class LatticeBuilder(_Echelon):
     stored (its pivot entry g < a, so the earlier rows leave it alone):
     unreduced, such rows feed each other and the entries grow to thousands
     of bits on dense inputs, while the Hermite form's stay small.
+
+    Each row's nonzero columns are kept in ``supports``; they change which
+    zeros are read, never the arithmetic.  A step at pivot j clears v[j]
+    (b - q*a = 0, or (a/g)*b - (b/g)*a = 0) and both rows are zero left of
+    j, so the next leading entry lies right of j; and v - q*r changes v
+    only on the support of r.
     """
 
-    __slots__ = ("ambient", "rows", "pivots")
+    __slots__ = ("ambient", "rows", "pivots", "supports")
 
     def __init__(self, ambient: int, rows: Iterable[Row] = ()):
         self.ambient = ambient
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
+        self.supports: list[tuple[int, ...]] = []
         for row in rows:
             self.add(row)
 
@@ -88,32 +103,41 @@ class LatticeBuilder(_Echelon):
         v = list(row)
         if len(v) != self.ambient:
             raise ValueError(f"row length {len(v)} != ambient {self.ambient}")
+        rows, pivots, supports = self.rows, self.pivots, self.supports
         changed = False
-        i = 0
+        i = j = 0
         while True:
-            j = next((c for c in range(self.ambient) if v[c]), None)
+            j = next(compress(count(j), islice(v, j, None)), None)
             if j is None:
                 return changed
-            while i < len(self.pivots) and self.pivots[i] < j:
-                i += 1
-            if i < len(self.pivots) and self.pivots[i] == j:
-                r = self.rows[i]
+            i = bisect_left(pivots, j, i)
+            if i < len(pivots) and pivots[i] == j:
+                r = rows[i]
                 a, b = r[j], v[j]
                 if b % a == 0:
                     q = b // a
-                    for c in range(j, self.ambient):
+                    for c in supports[i]:
                         v[c] -= q * r[c]
                 else:
                     g, x, y = xgcd(a, b)
-                    self.rows[i] = self.reduce([x * rc + y * vc for rc, vc in zip(r, v)])
+                    rows[i] = self.reduce([x * rc + y * vc for rc, vc in zip(r, v)])
+                    supports[i] = _support(rows[i], j)
                     v = [(a // g) * vc - (b // g) * rc for rc, vc in zip(r, v)]
                     changed = True
+                j += 1
             else:
                 if v[j] < 0:
                     v = [-c for c in v]
-                self.rows.insert(i, v)
-                self.pivots.insert(i, j)
+                rows.insert(i, v)
+                pivots.insert(i, j)
+                supports.insert(i, _support(v, j))
                 return True
+
+    def pop(self) -> list[int]:
+        """Remove and return the row with the largest pivot."""
+        self.pivots.pop()
+        self.supports.pop()
+        return self.rows.pop()
 
     def rank(self) -> int:
         return len(self.rows)
@@ -131,15 +155,19 @@ def _hermite(
     Entries above each pivot are reduced into [0, pivot) in increasing pivot
     order: rows are echelon, so reducing against a later pivot never
     reintroduces entries in an earlier pivot column.  Tuple rows that need
-    no reduction are shared with the result, not copied.
+    no reduction are shared with the result, not copied.  Row i acts only
+    on its support, found the first time it reduces a row.
     """
     rows = list(rows)
     for i, j in enumerate(pivots):
-        r = rows[i]
+        r, support = rows[i], None
         for k in range(i):
             q = rows[k][j] // r[j]
             if q:
-                rows[k] = [a - q * b for a, b in zip(rows[k], r)]
+                support = support or _support(r, j)
+                w = rows[k] = list(rows[k])
+                for c in support:
+                    w[c] -= q * r[c]
     return SubmoduleLattice(ambient, tuple(map(tuple, rows)), tuple(pivots))
 
 
@@ -188,6 +216,10 @@ class SubmoduleLattice(_Echelon):
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+    @cached_property
+    def supports(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(_support, self.rows, self.pivots))
 
     def is_saturated(self) -> bool:
         """True iff Z^ambient / self is torsion-free.
@@ -273,17 +305,21 @@ def orbit_span(
     ``maps``.  ``stable`` must be closed under the maps already; it is not
     spun.  Every row that enlarges the lattice has its images under the maps
     folded in turn, so the result is closed under the group (spinning:
-    Parker, "The computer calculation of modular characters", 1984).
+    Parker, "The computer calculation of modular characters", 1984).  Each
+    map is inverted once, and each image is gathered from the row.
 
     >>> orbit_span(3, [[1, -1, 0]], [(1, 0, 2), (0, 2, 1)]).rows
     ((1, 0, -1), (0, 1, -1))
+    >>> orbit_span(3, [[1, 1, 0]], [(1, 2, 0)]).rows   # a 3-cycle
+    ((1, 0, 1), (0, 1, 1), (0, 0, 2))
     """
     builder = LatticeBuilder(ambient, stable)
+    inverses = [sorted(range(len(m)), key=m.__getitem__) for m in maps]
     work = deque(seeds)
     while work:
         row = work.popleft()
         if builder.add(row):
-            work.extend(permute_row(m, row) for m in maps)
+            work.extend(list(map(row.__getitem__, inv)) for inv in inverses)
     return builder.snapshot()
 
 
@@ -307,14 +343,11 @@ def split_hnf(
     """
     whole = LatticeBuilder(head + tail, ([*h, *t] for h, t in pairs))
     k = bisect_left(whole.pivots, head)
+    tail_pivots = [j - head for j in whole.pivots[k:]]
     # a row whose pivot lies in the tail has a zero head; move each out
     # as soon as its tail is copied
-    moved = []
-    while len(whole.rows) > k:
-        moved.append(tuple(whole.rows.pop()[head:]))
-    moved.reverse()
-    relations = _hermite(tail, moved, [j - head for j in whole.pivots[k:]])
-    del whole.pivots[k:]
+    moved = [tuple(whole.pop()[head:]) for _ in range(whole.rank() - k)][::-1]
+    relations = _hermite(tail, moved, tail_pivots)
     image = _hermite(head, [tuple(r[:head]) for r in whole.rows], whole.pivots)
     return whole, image, relations
 

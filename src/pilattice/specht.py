@@ -554,13 +554,11 @@ def _psi_split(p: PartitionPair):
         S.ambient,
     )
     r_lattice = specht_lattice(r_pair)
-    image_ok = image.contains_lattice(r_lattice) and r_lattice.contains_lattice(image)
     a_lattice = (
         SubmoduleLattice.zero(S.ambient) if a_pair.is_zero else specht_lattice(a_pair)
     )
-    kernel_ok = k_lattice.contains_lattice(a_lattice) and a_lattice.contains_lattice(
-        k_lattice
-    )
+    # Hermite forms are canonical, so equal lattices have equal forms
+    image_ok, kernel_ok = image == r_lattice, k_lattice == a_lattice
     return S, r_pair, a_pair, whole, k_lattice, image_ok, kernel_ok
 
 

@@ -232,6 +232,8 @@ def test_verify_usage_errors(capsys):
         assert main(["verify", claim, "--n-max", str(n_max)]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "exceeds the configured bound" in captured.err
+        # the CLI has no option that passes a bound, so it must not hint at one
+        assert "override" not in captured.err
 
 
 def test_verify_csv(capsys, monkeypatch):

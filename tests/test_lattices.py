@@ -8,6 +8,8 @@ folding, so agreement on random inputs is meaningful.
 import itertools
 import math
 import random
+from bisect import bisect_left
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +34,7 @@ from pilattice.lattices import (
     preimage,
     smith_normal_form,
     split_hnf,
+    xgcd,
 )
 from pilattice.pitheory import monomial_action_map
 from pilattice.rings import cyclic_ring
@@ -604,3 +607,190 @@ def test_builder_entries_stay_small():
         for w in itertools.permutations(range(1, 5)):
             builder.add(permute_row(monomial_action_map(4, w), seed))
     assert max(abs(c).bit_length() for r in builder.rows for c in r) <= 64
+
+
+# ---------------------------------------------------------------------------
+# reference kernel: the builder's dense loop before it kept row supports
+# ---------------------------------------------------------------------------
+
+class DenseBuilder:
+    """The echelon fold as it was before ``LatticeBuilder`` kept supports:
+    the leading entry is searched from column 0 and every step runs over
+    the whole row, so the supported kernel must match it exactly."""
+
+    def __init__(self, ambient):
+        self.ambient, self.rows, self.pivots = ambient, [], []
+
+    def reduce(self, row):
+        v = list(row)
+        for r, j in zip(self.rows, self.pivots):
+            q = v[j] // r[j]
+            if q:
+                v = [a - q * b for a, b in zip(v, r)]
+        return v
+
+    def add(self, row):
+        v = list(row)
+        changed = False
+        i = 0
+        while True:
+            j = next((c for c in range(self.ambient) if v[c]), None)
+            if j is None:
+                return changed
+            while i < len(self.pivots) and self.pivots[i] < j:
+                i += 1
+            if i < len(self.pivots) and self.pivots[i] == j:
+                r = self.rows[i]
+                a, b = r[j], v[j]
+                if b % a == 0:
+                    q = b // a
+                    for c in range(j, self.ambient):
+                        v[c] -= q * r[c]
+                else:
+                    g, x, y = xgcd(a, b)
+                    self.rows[i] = self.reduce([x * rc + y * vc for rc, vc in zip(r, v)])
+                    v = [(a // g) * vc - (b // g) * rc for rc, vc in zip(r, v)]
+                    changed = True
+            else:
+                if v[j] < 0:
+                    v = [-c for c in v]
+                self.rows.insert(i, v)
+                self.pivots.insert(i, j)
+                return True
+
+
+def dense_hermite(rows, pivots):
+    """Back-reduction of echelon rows over every column."""
+    rows = [list(r) for r in rows]
+    for i, j in enumerate(pivots):
+        for k in range(i):
+            q = rows[k][j] // rows[i][j]
+            if q:
+                rows[k] = [a - q * b for a, b in zip(rows[k], rows[i])]
+    return tuple(map(tuple, rows))
+
+
+def builder_rows(ambient):
+    """Zero, sparse and dense rows, as lists or tuples; entries 2, 3, 4, 6
+    make pivots that do not divide each other (the xgcd branch)."""
+    sparse = st.sampled_from((0,) * 8 + (-6, -4, -3, -2, -1, 1, 2, 3, 4, 6))
+    row = st.one_of(
+        st.just([0] * ambient),
+        st.lists(sparse, min_size=ambient, max_size=ambient),
+        st.lists(st.integers(-6, 6), min_size=ambient, max_size=ambient),
+    )
+    return st.lists(st.one_of(row, row.map(tuple)), max_size=12)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 9).flatmap(lambda a: st.tuples(st.just(a), builder_rows(a))))
+def test_builder_matches_dense_reference(data):
+    ambient, rows = data
+    builder, ref = LatticeBuilder(ambient), DenseBuilder(ambient)
+    for row in rows:
+        assert builder.add(row) == ref.add(row)
+        assert (builder.rows, builder.pivots) == (ref.rows, ref.pivots)
+        assert builder.supports == [
+            tuple(c for c, x in enumerate(r) if x) for r in builder.rows
+        ]
+        assert builder.reduce(row) == ref.reduce(row)
+    latt = builder.snapshot()
+    assert latt.rows == dense_hermite(ref.rows, ref.pivots)
+    ref.rows, ref.pivots = latt.rows, latt.pivots
+    for row in rows:
+        assert latt.reduce(row) == ref.reduce(row)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 9).flatmap(
+        lambda a: st.tuples(st.just(a), builder_rows(a), st.integers(0, a))
+    )
+)
+def test_split_hnf_matches_dense_reference(data):
+    ambient, rows, head = data
+    tail = ambient - head
+    whole, image, relations = split_hnf([(r[:head], r[head:]) for r in rows], head, tail)
+    ref = DenseBuilder(ambient)
+    for row in rows:
+        ref.add(row)
+    k = bisect_left(ref.pivots, head)
+    assert (whole.rows, whole.pivots) == (ref.rows[:k], ref.pivots[:k])
+    assert whole.supports == [tuple(c for c, x in enumerate(r) if x) for r in whole.rows]
+    assert image.rows == dense_hermite([r[:head] for r in ref.rows[:k]], ref.pivots[:k])
+    assert relations.rows == dense_hermite(
+        [r[head:] for r in ref.rows[k:]], [j - head for j in ref.pivots[k:]]
+    )
+    del ref.rows[k:], ref.pivots[k:]
+    for u in [*image.rows, *(r[:head] for r in rows)]:
+        v = ref.reduce([*u, *[0] * tail])
+        expected = None if any(v[:head]) else [-c for c in v[head:]]
+        assert preimage(whole, u) == expected
+
+
+def spun_rows(ambient, seeds, maps):
+    """Every row ``orbit_span`` folds, in order, with the images scattered
+    by ``permute_row`` into a reference builder."""
+    builder, work, out = DenseBuilder(ambient), deque(seeds), []
+    while work:
+        row = work.popleft()
+        out.append(list(row))
+        if builder.add(row):
+            work.extend(permute_row(m, row) for m in maps)
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_orbit_span_under_non_involutions(n, monkeypatch):
+    """The n-cycle (2, 3, ..., n, 1) is no involution, so a gathered image
+    that used a map where its inverse belongs would fold other rows than
+    ``permute_row``'s; the lattice must still be the full orbit fold."""
+    dim = math.factorial(n)
+    words = [(*range(2, n + 1), 1), (2, 1, *range(3, n + 1))]
+    maps = [monomial_action_map(n, w) for w in words]
+    rng = random.Random(n)
+    seeds = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(2)]
+    assert orbit_span(dim, seeds, maps).rows == full_orbit_fold(n, seeds)
+    folded = []
+    add = LatticeBuilder.add
+
+    def recording_add(self, row):
+        folded.append(list(row))
+        return add(self, row)
+
+    monkeypatch.setattr(LatticeBuilder, "add", recording_add)
+    orbit_span(dim, seeds, maps)
+    assert folded == spun_rows(dim, seeds, maps)
+
+
+def unimodular(size, ops):
+    """The identity matrix of the given size after the row operations
+    (i, j, c): add c times row j to row i (i != j), or negate row i."""
+    u = [[int(i == j) for j in range(size)] for i in range(size)]
+    for i, j, c in ops:
+        i, j = i % size, j % size
+        if i == j:
+            u[i] = [-x for x in u[i]]
+        else:
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    return u
+
+
+@given(
+    small_matrix,
+    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(-3, 3)), max_size=8),
+)
+def test_lattice_equality_is_basis_free(data, ops):
+    """Hermite forms are canonical: ``==`` on ``SubmoduleLattice`` does not
+    see the basis it was built from, and agrees with two-way containment."""
+    rows, cols = data
+    if not rows:
+        return
+    u = unimodular(len(rows), ops)
+    moved = [[sum(c * r[j] for c, r in zip(ur, rows)) for j in range(cols)] for ur in u]
+    latt = SubmoduleLattice.from_rows(cols, rows)
+    assert latt == SubmoduleLattice.from_rows(cols, moved)
+    scaled = SubmoduleLattice.from_rows(cols, [[2 * x for x in rows[0]], *rows[1:]])
+    other = SubmoduleLattice.from_rows(cols, moved[1:])
+    for a, b in itertools.product((latt, scaled, other), repeat=2):
+        assert (a == b) == (a.contains_lattice(b) and b.contains_lattice(a))

@@ -29,6 +29,15 @@ assert summary["calls"]["lattices.image"] == 2, summary
 assert summary["calls"]["lattices.kernel"] == 1, summary
 # validation runs in the constructor, so building a model is a traced span
 assert summary["calls"]["rings.build"] >= 1, summary
+
+# a Specht lattice is spun through the counted LatticeBuilder.add
+from pilattice.specht import pair, specht_lattice
+
+adds = tracer.counts["lattices.builder_adds"]
+specht_lattice(pair((2, 1), (2, 1, 1)))
+summary = tracer.summary()
+assert summary["calls"]["specht.lattice"] == 1, summary
+assert summary["counts"]["lattices.builder_adds"] > adds > 0, summary
 """
 
 
