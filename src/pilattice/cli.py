@@ -18,13 +18,7 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .lattices import AbelianInvariants, json_sanitize
-from .pitheory import (
-    CLAIMS,
-    BudgetExceeded,
-    degree_bound,
-    ordinary_codim,
-    run_claim,
-)
+from .pitheory import CLAIMS, BudgetExceeded, _guard, ordinary_codim, run_claim
 from .rings import RingModel, cyclic_ring, direct_sum, grassmann, ut2
 from .specht import hook_number, induce_mod, is_partition, pair, specht_lattice
 
@@ -220,13 +214,9 @@ def cmd_codim(args) -> int:
             raise ValueError("--k applies only to grassmann ring specs")
         model = grassmann(model.params[0], args.k)
     degrees = parse_n_range(args.n)
-    bound = degree_bound(model)
-    if max(degrees) > bound:
-        raise ValueError(
-            f"degree {max(degrees)} exceeds the bound {bound} for {model.label}"
-        )
     if args.q is not None:
         AbelianInvariants((), 0).codim(args.q)  # reject a bad q before evaluating
+    _guard([(model, n, None) for n in degrees], row_budget=args.row_budget)
     config = RunConfig(
         command="codim", ring=args.ring, n=degrees, q=args.q, k=args.k,
         output=args.output, format=args.format, seed=args.seed,

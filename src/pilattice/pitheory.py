@@ -17,7 +17,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .lattices import (
     AbelianInvariants,
@@ -66,6 +66,7 @@ from .specht import (
 
 GENERAL_N_MAX = 5
 GRASSMANN_N_MAX = 4
+DRENSKY_N_MAX = 4
 DEFAULT_ROW_BUDGET = 5_000_000
 
 Row = tuple[int, ...]
@@ -88,12 +89,33 @@ def degree_bound(model: RingModel) -> int:
     return GRASSMANN_N_MAX if model.family == "grassmann" else GENERAL_N_MAX
 
 
-def _check_degree(model: RingModel, n: int, n_bound: int | None) -> None:
-    if n < 1:
-        raise ValueError(f"degree n={n} is below 1; multilinear degrees start at 1")
-    bound = degree_bound(model) if n_bound is None else n_bound
-    if n > bound:
-        raise ValueError(f"n={n} exceeds the configured bound {bound} for {model.label}")
+def _guard(
+    caps: Iterable[tuple[RingModel, int, int | None]],
+    evaluations: Iterable[tuple[RingModel, int]] | None = None,
+    row_budget: int | None = None,
+) -> None:
+    """The front door of every request, run before any evaluation or cache
+    lookup, so the outcome never depends on what an earlier call computed.
+
+    Each (model, n, bound) of ``caps`` must have 1 <= n <= bound (the
+    model's ``degree_bound`` when bound is None); the highest degree over
+    its cap is named first.  Only then is each (model, n) of
+    ``evaluations`` (by default the pairs of ``caps``) charged one
+    candidate row per ring coordinate of every generator tuple, in order,
+    against the row budget."""
+    caps = list(caps)
+    for model, n, bound in sorted(caps, key=lambda cap: -cap[1]):
+        bound = degree_bound(model) if bound is None else bound
+        if n > bound:
+            raise ValueError(f"n={n} exceeds the configured bound {bound} for {model.label}")
+    for _, n, _ in caps:
+        if n < 1:
+            raise ValueError(f"degree n={n} is below 1; multilinear degrees start at 1")
+    budget = DEFAULT_ROW_BUDGET if row_budget is None else row_budget
+    for model, n in [cap[:2] for cap in caps] if evaluations is None else evaluations:
+        needed = tuple_count(model, n) * model.rank
+        if needed > budget:
+            raise BudgetExceeded(model.label, n, needed, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -168,25 +190,13 @@ def evaluation_functionals(model: RingModel, n: int) -> list[Functional]:
     return out
 
 
-def _check_budget(model: RingModel, n: int, row_budget: int | None) -> None:
-    """Raise iff evaluating degree n would visit more candidate rows (one
-    per ring coordinate of every generator tuple) than the budget allows.
-
-    Every entry point that evaluates calls this before any cache lookup,
-    so the outcome never depends on what an earlier call computed."""
-    budget = DEFAULT_ROW_BUDGET if row_budget is None else row_budget
-    needed = tuple_count(model, n) * model.rank
-    if needed > budget:
-        raise BudgetExceeded(model.label, n, needed, budget)
-
-
 def _columns(n: int, proper: bool) -> int:
     return len(proper_basis(n).elements) if proper else len(monomial_order(n))
 
 
 # The caches below are keyed only on what determines the answer: the
 # model, the degree, and the column basis (n! monomials, or the proper
-# basis when ``proper``).  They do no budget check of their own.
+# basis when ``proper``).  They check nothing: callers run ``_guard``.
 
 @lru_cache(maxsize=None)
 def _rows(model: RingModel, n: int, proper: bool) -> tuple[Functional, ...]:
@@ -276,15 +286,10 @@ def ordinary_codim(
     """Invariants of the group of degree-n values of the model (the
     degree-n component of the free ring modulo the model's identities).
     Degrees above ``degree_bound(model)`` need an explicit ``n_bound=``."""
-    _check_degree(model, n, n_bound)
-    _check_budget(model, n, row_budget)
+    _guard([(model, n, n_bound)], row_budget=row_budget)
     t0 = time.perf_counter()
     inv = _invariants(model, n, False)
-    prop = (
-        proper_codim(model, n, n_bound=n_bound, row_budget=row_budget)
-        if include_proper
-        else None
-    )
+    prop = _proper_invariants(model, n) if include_proper else None
     ms = int((time.perf_counter() - t0) * 1000)
     return CodimReport(model.label, n, inv, prop, ms)
 
@@ -299,12 +304,16 @@ def proper_codim(
     """Invariants of the group of degree-n proper values: the unit
     subgroup in degree 0, zero in degree 1, and for n >= 2 the image of
     the commutator-product lattice under all substitutions."""
+    if n not in (0, 1):
+        _guard([(model, n, n_bound)], row_budget=row_budget)
+    return _proper_invariants(model, n)
+
+
+def _proper_invariants(model: RingModel, n: int) -> AbelianInvariants:
     if n == 0:
         return unit_subgroup_invariants(model)
     if n == 1:
         return AbelianInvariants((), 0)
-    _check_degree(model, n, n_bound)
-    _check_budget(model, n, row_budget)
     return _invariants(model, n, True)
 
 
@@ -316,8 +325,7 @@ def kernel_lattice(
     row_budget: int | None = None,
 ) -> SubmoduleLattice:
     """The degree-n identity lattice of the model inside Z^{n!}."""
-    _check_degree(model, n, n_bound)
-    _check_budget(model, n, row_budget)
+    _guard([(model, n, n_bound)], row_budget=row_budget)
     return _kernel(model, n, False)
 
 
@@ -331,8 +339,7 @@ def proper_quotient_pair(
     """(everything, identities) in the coordinates of the proper basis;
     the quotient is the degree-n proper value group, and the symmetric
     group acts on both via ``proper_action_matrix``."""
-    _check_degree(model, n, n_bound)
-    _check_budget(model, n, row_budget)
+    _guard([(model, n, n_bound)], row_budget=row_budget)
     return SubmoduleLattice.full(_columns(n, True)), _kernel(model, n, True)
 
 
@@ -392,8 +399,7 @@ def proper_quotient_character(
     per cycle type in ``partitions(t)`` order."""
     if t == 1:
         return tuple(0 for _ in partitions(1))
-    _check_degree(model, t, n_bound)
-    _check_budget(model, t, row_budget)
+    _guard([(model, t, n_bound)], row_budget=row_budget)
     return _proper_character(model, t)
 
 
@@ -458,33 +464,34 @@ def verify_proper_ordinary(
     binomial(n, j) copies of the degree-j proper value group over
     j = 0..n; unital models only.  An explicit ``n_max`` overrides the
     family degree bound."""
-    if model.unit is None:
+    n_max = degree_bound(model) if n_max is None else n_max
+    return _proper_ordinary([model], n_max, row_budget)
+
+
+def _proper_ordinary(
+    models: Sequence[RingModel], n_max: int, row_budget: int | None
+) -> list[VerificationOutcome]:
+    if any(model.unit is None for model in models):
         raise ValueError("the ordinary/proper bridge needs a unital model")
-    bound = degree_bound(model) if n_max is None else n_max
-    for n in range(1, bound + 1):
-        _check_budget(model, n, row_budget)
-    gammas = {
-        j: proper_codim(model, j, n_bound=bound, row_budget=row_budget)
-        for j in range(bound + 1)
-    }
+    degrees = range(1, n_max + 1)
+    _guard([(model, n, n_max) for model in models for n in degrees], row_budget=row_budget)
     out = []
-    for n in range(1, bound + 1):
-        expected = AbelianInvariants((), 0)
-        for j in range(n + 1):
-            expected = expected.direct_sum(gammas[j].power(math.comb(n, j)))
-        computed = ordinary_codim(
-            model, n, n_bound=bound, row_budget=row_budget
-        ).ordinary
-        out.append(
-            _outcome(
-                "proper-ordinary",
-                model.label,
-                n,
-                str(expected),
-                str(computed),
-                "binomial sum of proper groups misses the value group",
+    for model in models:
+        gammas = [_proper_invariants(model, j) for j in range(n_max + 1)]
+        for n in degrees:
+            expected = AbelianInvariants((), 0)
+            for j in range(n + 1):
+                expected = expected.direct_sum(gammas[j].power(math.comb(n, j)))
+            out.append(
+                _outcome(
+                    "proper-ordinary",
+                    model.label,
+                    n,
+                    str(expected),
+                    str(_invariants(model, n, False)),
+                    "binomial sum of proper groups misses the value group",
+                )
             )
-        )
     return out
 
 
@@ -576,11 +583,13 @@ def identities_in_kernel(
 ) -> bool:
     """Dual route to ``identities_vanish``: membership in the computed
     kernel lattice at each polynomial's own degree."""
+    _guard([(model, f.degree, n_bound) for f in polys])
+    return _in_kernel(model, polys)
+
+
+def _in_kernel(model: RingModel, polys: Sequence[MultilinearPoly]) -> bool:
     return all(
-        kernel_lattice(model, f.degree, n_bound=n_bound).contains(
-            f.to_vector(f.degree)
-        )
-        for f in polys
+        _kernel(model, f.degree, False).contains(f.to_vector(f.degree)) for f in polys
     )
 
 
@@ -674,9 +683,7 @@ def drensky_filtration(
     character (computed directly on the filtration, and independently
     via the induction formula).
     """
-    _check_degree(model, n, n_bound)
-    for t in range(2, n + 1):
-        _check_budget(model, t, None)
+    _guard([(model, n, n_bound)], [(model, t) for t in range(2, n + 1)])
     return _drensky(model, n)
 
 
@@ -713,8 +720,8 @@ def _drensky(model: RingModel, n: int) -> DrenskyReport:
 
 
 def drensky_outcomes(model: RingModel, n: int) -> list[VerificationOutcome]:
-    """The filtration checks as outcomes; callers check the budget of
-    degrees 2..n first."""
+    """The filtration checks as outcomes; callers guard degrees 2..n
+    first."""
     report = _drensky(model, n)
     out = [
         _outcome(
@@ -762,12 +769,10 @@ def verify_ut2(
     the proper identification with a hook Specht quotient, and the
     filtration factor table at n <= 4."""
     model = ut2(ell, m)
-    if n_max > 1:
-        _check_degree(model, n_max, None)
     label = model.label
     basis = ut2_identity_basis(ell, m)
-    for n in sorted({f.degree for f in basis} | set(range(2, n_max + 1))):
-        _check_budget(model, n, row_budget)
+    degrees = sorted({f.degree for f in basis} | set(range(2, n_max + 1)))
+    _guard([(model, n, None) for n in degrees], row_budget=row_budget)
     out = [
         _outcome(
             "ut2.codim", f"{label} identities vanish", None,
@@ -776,7 +781,7 @@ def verify_ut2(
         ),
         _outcome(
             "ut2.codim", f"{label} identities in kernel", None,
-            True, identities_in_kernel(model, basis),
+            True, _in_kernel(model, basis),
             "an identity basis element is outside the kernel lattice",
         ),
     ]
@@ -785,7 +790,7 @@ def verify_ut2(
         expected = cyclic_invariants(ell).direct_sum(
             cyclic_invariants(m).power(count)
         )
-        computed = ordinary_codim(model, n, row_budget=row_budget).ordinary
+        computed = _invariants(model, n, False)
         out.append(
             _outcome(
                 "ut2.codim", label, n, str(expected), str(computed),
@@ -800,8 +805,8 @@ def verify_ut2(
         else:
             exp_proper = cyclic_invariants(m).power(rank)
             chi_expected = tuple(0 for _ in partitions(n))
-        got_proper = proper_codim(model, n, row_budget=row_budget)
-        chi = proper_quotient_character(model, n, row_budget=row_budget)
+        got_proper = _invariants(model, n, True)
+        chi = _proper_character(model, n)
         out.append(
             _outcome(
                 "ut2.codim", f"{label} proper", n,
@@ -811,17 +816,15 @@ def verify_ut2(
             )
         )
         if n <= 4:
-            closure = consequence_lattice(basis, n)
-            kern = kernel_lattice(model, n, row_budget=row_budget)
             out.append(
                 _outcome(
                     "ut2.codim", f"{label} consequence closure", n,
                     True,
-                    closure == kern,
+                    consequence_lattice(basis, n) == _kernel(model, n, False),
                     "kernel lattice differs from the identity-basis closure",
                 )
             )
-    for n in range(2, min(n_max, 4) + 1):
+    for n in range(2, min(n_max, DRENSKY_N_MAX) + 1):
         out.extend(drensky_outcomes(model, n))
         out.append(_ut2_factor_table(model, ell, m, n))
     return out
@@ -872,14 +875,18 @@ def verify_grassmann(
     label = f"grassmann({ell},*)"
     basis = grassmann_identity_basis(ell)
     probe = grassmann(ell, 5)
-    _check_degree(probe, n_max, None)
     degrees = range(2, n_max + 1)
-    for model, n in (
-        [(probe, f.degree) for f in basis]
-        + [(grassmann(ell, n + k), n) for n in degrees for k in (1, 2)]
-        + [(grassmann(ell, t + 1), t) for t in range(2, proper_n_max + 1)]
-    ):
-        _check_budget(model, n, row_budget)
+    # the probe carries the family cap; the truncations are built only
+    # once that cap has passed
+    _guard(
+        [(probe, n_max, None)],
+        itertools.chain(
+            ((probe, f.degree) for f in basis),
+            ((grassmann(ell, n + k), n) for n in degrees for k in (1, 2)),
+            ((grassmann(ell, t + 1), t) for t in range(2, proper_n_max + 1)),
+        ),
+        row_budget,
+    )
     out.append(
         _outcome(
             "grassmann.codim", f"{label} identities vanish", None,
@@ -891,18 +898,14 @@ def verify_grassmann(
     out.append(
         _outcome(
             "grassmann.codim", f"{label} identities in kernel", None,
-            True, identities_in_kernel(probe, basis),
+            True, _in_kernel(probe, basis),
             "identity basis element outside the kernel lattice",
         )
     )
     for n in degrees:
         expected = cyclic_invariants(ell).power(2 ** (n - 1))
-        at_k = ordinary_codim(
-            grassmann(ell, n + 1), n, row_budget=row_budget
-        ).ordinary
-        at_k1 = ordinary_codim(
-            grassmann(ell, n + 2), n, n_bound=n, row_budget=row_budget
-        ).ordinary
+        at_k = _invariants(grassmann(ell, n + 1), n, False)
+        at_k1 = _invariants(grassmann(ell, n + 2), n, False)
         out.append(
             _outcome(
                 "grassmann.codim", f"{label} K={n + 1}", n,
@@ -918,21 +921,18 @@ def verify_grassmann(
             )
         )
         if n <= 4:
-            closure = consequence_lattice(basis, n)
-            kern = kernel_lattice(
-                grassmann(ell, n + 1), n, row_budget=row_budget
-            )
+            kern = _kernel(grassmann(ell, n + 1), n, False)
             out.append(
                 _outcome(
                     "grassmann.codim", f"{label} consequence closure", n,
                     True,
-                    closure == kern,
+                    consequence_lattice(basis, n) == kern,
                     "kernel differs from consequences of the identity basis",
                 )
             )
     for t in range(2, proper_n_max + 1):
         model = grassmann(ell, t + 1)
-        got = proper_codim(model, t, n_bound=t, row_budget=row_budget)
+        got = _invariants(model, t, True)
         if t % 2:
             expected = AbelianInvariants((), 0)
             chi_expected = tuple(0 for _ in partitions(t))
@@ -943,7 +943,7 @@ def verify_grassmann(
                 if ell == 0
                 else tuple(0 for _ in partitions(t))
             )
-        chi = proper_quotient_character(model, t, t, row_budget=row_budget)
+        chi = _proper_character(model, t)
         out.append(
             _outcome(
                 "grassmann.codim", f"{label} proper", t,
@@ -977,46 +977,61 @@ def verify_field_props(
     rank must equal the free rank; with constant prime moduli the mod-p
     rank must equal the mod-p count; counts away from the characteristic
     must vanish."""
+    return _field_props([model], n_max, row_budget)
+
+
+def _field_props(
+    models: Sequence[RingModel], n_max: int, row_budget: int | None
+) -> list[VerificationOutcome]:
+    primes = [_field_characteristic(model) for model in models]
+    degrees = range(1, n_max + 1)
+    _guard(
+        [(model, n_max, None) for model in models],
+        [(model, n) for model in models for n in degrees],
+        row_budget,
+    )
+    out = []
+    for model, p in zip(models, primes):
+        for n in degrees:
+            inv = _invariants(model, n, False)
+            vectors = [row for row, _ in _rows(model, n, False)]
+            rank = field_rank(vectors, len(monomial_order(n)), p)
+            target = inv.free_rank if p == 0 else inv.codim(p)
+            out.append(
+                _outcome(
+                    "field-props",
+                    f"{model.label} rank over {'Q' if p == 0 else f'F_{p}'}",
+                    n, target, rank,
+                    "field rank does not match the invariant count",
+                )
+            )
+            clean = (
+                not inv.torsion
+                if p == 0
+                else inv.free_rank == 0
+                and all(d == p for d in inv.elementary_divisors())
+            )
+            out.append(
+                _outcome(
+                    "field-props", f"{model.label} off-characteristic", n,
+                    True, clean,
+                    f"nonzero count away from the characteristic: {inv}",
+                )
+            )
+    return out
+
+
+def _field_characteristic(model: RingModel) -> int:
+    """0 when all moduli are 0, p when they are all the prime p."""
     moduli = set(model.moduli)
     if moduli == {0}:
-        p = 0
-    elif len(moduli) == 1:
+        return 0
+    if len(moduli) == 1:
         p = moduli.pop()
         if not _is_prime(p):
             raise ValueError("constant moduli must be prime for field checks")
-    else:
-        raise ValueError("mixed moduli do not model an algebra over a field")
-    out = []
-    _check_degree(model, n_max, None)
-    for n in range(1, n_max + 1):
-        _check_budget(model, n, row_budget)
-    for n in range(1, n_max + 1):
-        inv = _invariants(model, n, False)
-        vectors = [row for row, _ in _rows(model, n, False)]
-        rank = field_rank(vectors, len(monomial_order(n)), p)
-        target = inv.free_rank if p == 0 else inv.codim(p)
-        out.append(
-            _outcome(
-                "field-props",
-                f"{model.label} rank over {'Q' if p == 0 else f'F_{p}'}",
-                n, target, rank,
-                "field rank does not match the invariant count",
-            )
-        )
-        clean = (
-            not inv.torsion
-            if p == 0
-            else inv.free_rank == 0
-            and all(d == p for d in inv.elementary_divisors())
-        )
-        out.append(
-            _outcome(
-                "field-props", f"{model.label} off-characteristic", n,
-                True, clean,
-                f"nonzero count away from the characteristic: {inv}",
-            )
-        )
-    return out
+        return p
+    raise ValueError("mixed moduli do not model an algebra over a field")
 
 
 def _is_prime(p: int) -> bool:
@@ -1149,16 +1164,9 @@ def _claim_proper_ordinary(config: dict) -> list[VerificationOutcome]:
         grassmann(3, 5), grassmann(0, 5),
         cyclic_ring(4), cyclic_ring(6), cyclic_ring(0),
     ]
-    out = []
-    for model in models:
-        out.extend(
-            verify_proper_ordinary(
-                model,
-                config.get("n_max", GENERAL_N_MAX),
-                row_budget=config.get("row_budget"),
-            )
-        )
-    return out
+    return _proper_ordinary(
+        models, config.get("n_max", GENERAL_N_MAX), config.get("row_budget")
+    )
 
 
 def _claim_young(config: dict) -> list[VerificationOutcome]:
@@ -1169,13 +1177,13 @@ def _claim_young(config: dict) -> list[VerificationOutcome]:
 
 def _claim_drensky(config: dict) -> list[VerificationOutcome]:
     models = config["models"] if "models" in config else [ut2(2, 2), grassmann(3, 4)]
-    n_max = config.get("n_max", 4)
+    n_max = config.get("n_max", DRENSKY_N_MAX)
     degrees = range(2, n_max + 1)
-    for model in models:
-        _check_degree(model, n_max, 4)
-    for model in models:
-        for n in degrees:
-            _check_budget(model, n, config.get("row_budget"))
+    _guard(
+        [(model, n_max, DRENSKY_N_MAX) for model in models],
+        [(model, n) for model in models for n in degrees],
+        config.get("row_budget"),
+    )
     return [
         oc for model in models for n in degrees for oc in drensky_outcomes(model, n)
     ]
@@ -1190,19 +1198,7 @@ def _claim_field_props(config: dict) -> list[VerificationOutcome]:
     models = (
         config["models"] if "models" in config else [ut2(0, 0), ut2(2, 2), ut2(3, 3)]
     )
-    n_max = config.get("n_max", 4)
-    for model in models:
-        _check_degree(model, n_max, None)
-    out = []
-    for model in models:
-        out.extend(
-            verify_field_props(
-                model,
-                n_max,
-                row_budget=config.get("row_budget"),
-            )
-        )
-    return out
+    return _field_props(models, config.get("n_max", 4), config.get("row_budget"))
 
 
 CLAIMS: dict[str, Callable[[dict], list[VerificationOutcome]]] = {

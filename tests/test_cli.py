@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from pilattice import pitheory
 from pilattice.cli import main, parse_n_range, parse_partition, parse_ring_spec
 from pilattice.pitheory import CLAIMS, VerificationOutcome
 from pilattice.rings import ut2
@@ -135,6 +136,8 @@ def test_codim_csv(capsys):
         ["codim", "--ring", "@/does/not/exist.json", "--n", "2"],
         ["codim", "--ring", "cyclic:4", "--n", "0..2"],
         ["codim", "--ring", "ut2:2,2", "--n", "2", "--q", "6"],
+        # a bad q is named before any budget
+        ["codim", "--ring", "ut2:2,2", "--n", "5", "--q", "6", "--row-budget", "1"],
     ],
 )
 def test_codim_usage_errors(argv, capsys):
@@ -148,12 +151,28 @@ def test_codim_budget_exit(capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_codim_guards_the_whole_range_before_evaluating(capsys, monkeypatch):
+    def untouchable(*args, **kwargs):
+        raise AssertionError("an evaluation ran before the guard")
+
+    monkeypatch.setattr(pitheory, "_invariants", untouchable)
+    # degrees 2..4 fit in 300 rows; degree 5 needs 729
+    argv = ["codim", "--ring", "ut2:2,2", "--n", "2..5", "--row-budget", "300"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "ut2(2,2) at n=5" in captured.err
+
+
 def test_verify_budget_exit(capsys):
     # the filtration claim evaluates too, so it must honour the budget
     argv = ["verify", "drensky", "--ring", "ut2:2,2", "--row-budget", "1"]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "ut2(2,2) at n=2" in err and "budget of 1" in err
+    # the probe grassmann(3,5) carries only the degree cap; the first
+    # evaluation over the budget is its identity-basis kernel at degree 3
+    assert main(["verify", "grassmann.codim", "--row-budget", "5000"]) == 2
+    assert "grassmann(3,5) at n=3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -308,6 +308,16 @@ def test_degree_bounds():
             kernel_lattice(ut2(2, 2), n)
         with pytest.raises(ValueError, match="below 1"):
             ordinary_codim(cyclic_ring(4), n)
+    entries = (
+        ordinary_codim, proper_codim, kernel_lattice,
+        proper_quotient_pair, proper_quotient_character, drensky_filtration,
+    )
+    for entry in entries:
+        with pytest.raises(ValueError, match="below 1"):
+            entry(ut2(2, 2), -1)
+    # below degree 2 proper_codim evaluates nothing, so no budget applies
+    assert proper_codim(ut2(2, 2), 0, row_budget=0) == AbelianInvariants((2,), 0)
+    assert proper_codim(ut2(2, 2), 1, row_budget=0) == AbelianInvariants((), 0)
 
 
 def test_budget_exceeded_carries_context():
@@ -336,6 +346,17 @@ def test_budget_threshold_is_exact_whatever_is_cached():
                     assert (exc.value.needed, exc.value.budget) == (needed, budget)
                 else:
                     entry(model, 3, row_budget=budget)
+
+
+def test_claims_guard_every_model_before_any_evaluation(monkeypatch):
+    def untouchable(*args, **kwargs):
+        raise AssertionError("an evaluation ran before the guard")
+
+    monkeypatch.setattr(pitheory, "_invariants", untouchable)
+    # the three ut2 models fit in 1000 rows; grassmann(3,5) does not
+    with pytest.raises(BudgetExceeded) as exc:
+        run_claim("proper-ordinary", {"row_budget": 1000})
+    assert (exc.value.label, exc.value.n) == ("grassmann(3,5)", 1)
 
 
 def test_claims_check_the_budget_of_every_evaluation():
@@ -575,7 +596,7 @@ def test_verify_degree_caps_fail_before_any_work(monkeypatch):
 
     for name in (
         "induce_mod", "specht_lattice", "verify_psi_lemma",
-        "identities_vanish", "_invariants", "_check_budget", "drensky_outcomes",
+        "identities_vanish", "_invariants", "tuple_count", "drensky_outcomes",
     ):
         monkeypatch.setattr(pitheory, name, untouchable)
     with pytest.raises(ValueError, match="degree 8 exceeds the supported bound 7"):
