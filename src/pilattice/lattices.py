@@ -74,8 +74,9 @@ class LatticeBuilder(_Echelon):
     Rows are folded one at a time; the builder keeps an echelon basis with
     strictly increasing pivot columns and positive pivots.  ``add`` returns
     True when the row enlarged the lattice, for fixpoint loops such as
-    ``orbit_span``, which spins exactly those rows to close a lattice under
-    a group.  Call ``snapshot`` for the canonical Hermite form.
+    ``orbit_span``, which queues the images of exactly those rows and skips
+    an image that repeats a queued row up to sign.  Call ``snapshot`` for
+    the canonical Hermite form.
 
     An xgcd-combined row is reduced against the later pivots before it is
     stored (its pivot entry g < a, so the earlier rows leave it alone):
@@ -236,17 +237,18 @@ class SubmoduleLattice(_Echelon):
         return all(self.contains(r) for r in other.rows)
 
     def coordinates_of(self, row: Row) -> list[int] | None:
-        """Coefficients c with ``row = sum c_i * rows[i]``, or None."""
+        """Coefficients c with ``row = sum c_i * rows[i]``, or None.  Row i
+        acts only on its support, as in ``reduce``."""
         v = list(row)
         coords = []
-        for i, p in enumerate(self.pivots):
-            q, rem = divmod(v[p], self.rows[i][p])
+        for r, p, support in zip(self.rows, self.pivots, self.supports):
+            q, rem = divmod(v[p], r[p])
             if rem:
                 return None
             coords.append(q)
             if q:
-                r = self.rows[i]
-                v = [a - q * b for a, b in zip(v, r)]
+                for c in support:
+                    v[c] -= q * r[c]
         return coords if not any(v) else None
 
     def sum_with(self, other: "SubmoduleLattice") -> "SubmoduleLattice":
@@ -304,22 +306,53 @@ def orbit_span(
     ``seeds`` under the group generated by the coordinate permutations
     ``maps``.  ``stable`` must be closed under the maps already; it is not
     spun.  Every row that enlarges the lattice has its images under the maps
-    folded in turn, so the result is closed under the group (spinning:
-    Parker, "The computer calculation of modular characters", 1984).  Each
-    map is inverted once, and each image is gathered from the row.
+    queued in turn, so the result is closed under the group (spinning:
+    Parker, "The computer calculation of modular characters", 1984).
+
+    Rows wait in the work list as the sorted (column, value) pairs of their
+    nonzero entries; a map moves the columns, and only a row handed to the
+    builder is made dense.  A row equal up to sign to one queued before it
+    is skipped: the work list is first in, first out, so the earlier row is
+    folded first, and the builder would reduce the repeat to zero without
+    changing a row.  The builder thus passes through the same states as
+    when every image is folded.
 
     >>> orbit_span(3, [[1, -1, 0]], [(1, 0, 2), (0, 2, 1)]).rows
     ((1, 0, -1), (0, 1, -1))
     >>> orbit_span(3, [[1, 1, 0]], [(1, 2, 0)]).rows   # a 3-cycle
     ((1, 0, 1), (0, 1, 1), (0, 0, 2))
+
+    The swap maps (1, -1) to (-1, 1), which is skipped, so the builder
+    folds one row:
+
+    >>> folded, add = [], LatticeBuilder.add
+    >>> LatticeBuilder.add = lambda self, row: folded.append(row) or add(self, row)
+    >>> orbit_span(2, [[1, -1]], [(1, 0)]).rows, folded
+    (((1, -1),), [[1, -1]])
+    >>> LatticeBuilder.add = add
     """
     builder = LatticeBuilder(ambient, stable)
-    inverses = [sorted(range(len(m)), key=m.__getitem__) for m in maps]
-    work = deque(seeds)
+    work: deque[tuple[tuple[int, int], ...]] = deque()
+    seen = set()
+
+    def queue(entries: tuple[tuple[int, int], ...]) -> None:
+        key = tuple((c, -x) for c, x in entries) if entries and entries[0][1] < 0 else entries
+        if key not in seen:
+            seen.add(key)
+            work.append(entries)
+
+    for seed in seeds:
+        if len(seed) != ambient:
+            raise ValueError(f"row length {len(seed)} != ambient {ambient}")
+        queue(tuple((c, x) for c, x in enumerate(seed) if x))
     while work:
-        row = work.popleft()
+        entries = work.popleft()
+        row = [0] * ambient
+        for c, x in entries:
+            row[c] = x
         if builder.add(row):
-            work.extend(list(map(row.__getitem__, inv)) for inv in inverses)
+            for m in maps:
+                queue(tuple(sorted((m[c], x) for c, x in entries)))
     return builder.snapshot()
 
 

@@ -98,13 +98,15 @@ def _guard(
     lookup, so the outcome never depends on what an earlier call computed.
 
     Each (model, n, bound) of ``caps`` must have 1 <= n <= bound (the
-    model's ``degree_bound`` when bound is None); the highest degree over
-    its cap is named first.  Only then is each (model, n) of
-    ``evaluations`` (by default the pairs of ``caps``) charged one
-    candidate row per ring coordinate of every generator tuple, in order,
-    against the row budget."""
+    model's ``degree_bound`` when bound is None) and n at most
+    ``specht.MAX_DEGREE``, which no bound lifts, since the row budget does
+    not count the n! columns; the highest degree over its cap is named
+    first.  Only then is each (model, n) of ``evaluations`` (by default the
+    pairs of ``caps``) charged one candidate row per ring coordinate of
+    every generator tuple, in order, against the row budget."""
     caps = list(caps)
     for model, n, bound in sorted(caps, key=lambda cap: -cap[1]):
+        check_tabloid_degree(n)
         bound = degree_bound(model) if bound is None else bound
         if n > bound:
             raise ValueError(f"n={n} exceeds the configured bound {bound} for {model.label}")
@@ -463,7 +465,8 @@ def verify_proper_ordinary(
     """Check that the degree-n value group is the direct sum of
     binomial(n, j) copies of the degree-j proper value group over
     j = 0..n; unital models only.  An explicit ``n_max`` overrides the
-    family degree bound."""
+    family degree bound, up to the symmetric-group ceiling
+    ``specht.MAX_DEGREE`` (7); a higher one is rejected before any work."""
     n_max = degree_bound(model) if n_max is None else n_max
     return _proper_ordinary([model], n_max, row_budget)
 

@@ -414,10 +414,9 @@ def _psi_row(mu: Composition, i: int, v: int, row: Sequence[int]) -> list[int]:
     nu = _psi_shape(mu, i, v)
     out = [0] * len(tabloid_module_basis(nu))
     images = _psi_index_images(mu, i, v)
-    for s, c in enumerate(row):
-        if c:
-            for t in images[s]:
-                out[t] += c
+    for targets, c in zip(itertools.compress(images, row), itertools.compress(row, row)):
+        for t in targets:
+            out[t] += c
     return out
 
 

@@ -255,6 +255,19 @@ def test_verify_usage_errors(capsys):
         assert "override" not in captured.err
 
 
+def test_verify_proper_ordinary_rejects_degrees_past_the_specht_cap(capsys, monkeypatch):
+    # the row budget counts one tuple per degree of cyclic(3), not the 9!
+    # columns, so the degree ceiling must stop the run before any work
+    def untouchable(*args, **kwargs):
+        raise AssertionError("an evaluation ran before the guard")
+
+    monkeypatch.setattr(pitheory, "_invariants", untouchable)
+    monkeypatch.setattr(pitheory, "_proper_invariants", untouchable)
+    assert main(["verify", "proper-ordinary", "--ring", "cyclic:3", "--n-max", "9"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "degree 9 exceeds the supported bound 7" in captured.err
+
+
 def test_verify_csv(capsys, monkeypatch):
     monkeypatch.setitem(
         CLAIMS,

@@ -729,38 +729,104 @@ def test_split_hnf_matches_dense_reference(data):
 
 
 def spun_rows(ambient, seeds, maps):
-    """Every row ``orbit_span`` folds, in order, with the images scattered
-    by ``permute_row`` into a reference builder."""
+    """Every row a spin folds when no image is skipped, in order, with the
+    images scattered by ``permute_row`` into a reference builder: each as
+    (row, what ``add`` returned, the rows and pivots after it)."""
     builder, work, out = DenseBuilder(ambient), deque(seeds), []
     while work:
-        row = work.popleft()
-        out.append(list(row))
-        if builder.add(row):
+        row = list(work.popleft())
+        added = builder.add(row)
+        out.append((row, added, [list(r) for r in builder.rows], list(builder.pivots)))
+        if added:
             work.extend(permute_row(m, row) for m in maps)
     return out
 
 
+def repeats_earlier(rows, i):
+    """True when rows[i] equals some earlier row up to sign."""
+    return any(r == rows[i] or [-c for c in r] == rows[i] for r in rows[:i])
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_orbit_span_under_non_involutions(n, monkeypatch):
-    """The n-cycle (2, 3, ..., n, 1) is no involution, so a gathered image
-    that used a map where its inverse belongs would fold other rows than
-    ``permute_row``'s; the lattice must still be the full orbit fold."""
+    """The n-cycle (2, 3, ..., n, 1) is no involution, so an image that used
+    a map where its inverse belongs would fold other rows than
+    ``permute_row``'s; the lattice must still be the full orbit fold.  The
+    spin skips each image that repeats an earlier queued row up to sign,
+    and otherwise folds what the reference folds, through the same states."""
     dim = math.factorial(n)
     words = [(*range(2, n + 1), 1), (2, 1, *range(3, n + 1))]
     maps = [monomial_action_map(n, w) for w in words]
     rng = random.Random(n)
     seeds = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(2)]
     assert orbit_span(dim, seeds, maps).rows == full_orbit_fold(n, seeds)
-    folded = []
+    calls = []
     add = LatticeBuilder.add
 
     def recording_add(self, row):
-        folded.append(list(row))
-        return add(self, row)
+        added = add(self, row)
+        calls.append((list(row), added, [list(r) for r in self.rows], list(self.pivots)))
+        return added
 
     monkeypatch.setattr(LatticeBuilder, "add", recording_add)
     orbit_span(dim, seeds, maps)
-    assert folded == spun_rows(dim, seeds, maps)
+    reference = spun_rows(dim, seeds, maps)
+    assert [c for c in calls if c[1]] == [c for c in reference if c[1]]
+    rows = [c[0] for c in reference]
+    kept = [c for i, c in enumerate(reference) if not repeats_earlier(rows, i)]
+    assert calls == kept
+    assert len(calls) < len(reference)
+
+
+# ---------------------------------------------------------------------------
+# reference solve: ``coordinates_of`` before it kept to row supports
+# ---------------------------------------------------------------------------
+
+def dense_coordinates_of(latt, row):
+    """Coordinates by elimination over every column."""
+    v = list(row)
+    coords = []
+    for i, p in enumerate(latt.pivots):
+        q, rem = divmod(v[p], latt.rows[i][p])
+        if rem:
+            return None
+        coords.append(q)
+        if q:
+            v = [a - q * b for a, b in zip(v, latt.rows[i])]
+    return coords if not any(v) else None
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 9).flatmap(
+        lambda a: st.tuples(
+            st.just(a),
+            builder_rows(a),
+            st.lists(st.lists(st.integers(-3, 3), min_size=12, max_size=12), max_size=4),
+            st.lists(st.integers(0, 8), max_size=4),
+        )
+    )
+)
+def test_coordinates_match_dense_reference(data):
+    """Members, members plus a unit at a pivot (a remainder where the pivot
+    exceeds 1) or off the pivots (a nonzero remainder), and the fold's own
+    rows get the dense reference's coordinates, or None where it has none."""
+    ambient, rows, combos, columns = data
+    latt = SubmoduleLattice.from_rows(ambient, rows)
+    members = [
+        [sum(c * r[j] for c, r in zip(combo, latt.rows)) for j in range(ambient)]
+        for combo in combos
+    ]
+    shifted = [
+        [x + (j == col % ambient) for j, x in enumerate(m)]
+        for m in members or [[0] * ambient]
+        for col in columns
+    ]
+    for row in [*members, *shifted, *rows]:
+        expected = dense_coordinates_of(latt, row)
+        assert latt.coordinates_of(row) == expected
+    for m in members:
+        assert latt.coordinates_of(m) is not None
 
 
 def unimodular(size, ops):

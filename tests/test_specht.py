@@ -10,10 +10,13 @@ import math
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from pilattice import lattices, specht
 from pilattice.specht import (
     ZERO_PAIR,
+    _psi_index_images,
+    _psi_row,
     canonical_tableau,
     class_representative,
     conjugacy_class_reps,
@@ -157,6 +160,24 @@ def test_specht_lattice_matches_all_polytabloids():
         assert specht_lattice(p) == SubmoduleLattice.from_rows(len(rows[0]), rows)
 
 
+def test_specht_spins_skip_repeated_images(monkeypatch):
+    """Over every pair with n <= 6 the spins hand the builder at most 12,387
+    rows; folding every image, as before repeats were skipped, took 51,700."""
+    calls = []
+    add = lattices.LatticeBuilder.add
+
+    def counting_add(self, row):
+        calls.append(None)
+        return add(self, row)
+
+    monkeypatch.setattr(lattices.LatticeBuilder, "add", counting_add)
+    pairs = [p for n in range(1, 7) for p in valid_pairs(n)]
+    assert len(pairs) == 211
+    for p in pairs:
+        specht.specht_lattice.__wrapped__(p)
+    assert len(calls) <= 12_387
+
+
 @given(st.permutations(list(range(1, 5))))
 def test_tabloid_action_map_matches_vector_action(word):
     word = tuple(word)
@@ -194,6 +215,34 @@ def test_psi_is_equivariant_and_linear(case, row, word):
     assert psi(i, v, x.act(word)).coeffs == psi(i, v, x).act(word).coeffs
     y = TabloidVector(mu, {basis[0]: 3})
     assert psi(i, v, x + y).coeffs == (psi(i, v, x) + psi(i, v, y)).coeffs
+
+
+psi_row_cases = st.sampled_from(
+    [((2, 2), 1, 1), ((2, 2), 1, 0), ((2, 1, 1), 2, 1), ((1, 2, 2), 2, 1), ((3, 2), 1, 2)]
+)
+
+
+@settings(deadline=None)
+@given(psi_row_cases, st.data())
+def test_psi_row_matches_dense_product(case, data):
+    """``_psi_row`` visits only the nonzero source entries; on zero, sparse
+    and dense rows it must equal the row times the dense 0/1 matrix of
+    ``_psi_index_images``."""
+    mu, i, v = case
+    images = _psi_index_images(mu, i, v)
+    width = len(tabloid_module_basis(specht._psi_shape(mu, i, v)))
+    matrix = [[targets.count(t) for t in range(width)] for targets in images]
+    dim = len(images)
+    row = data.draw(
+        st.one_of(
+            st.just([0] * dim),
+            st.lists(st.sampled_from((0,) * 6 + (-2, -1, 1, 3)), min_size=dim, max_size=dim),
+            st.lists(st.integers(-4, 4), min_size=dim, max_size=dim),
+        )
+    )
+    dense = [sum(c * m[t] for c, m in zip(row, matrix)) for t in range(width)]
+    assert _psi_row(mu, i, v, row) == dense
+    assert _psi_row(mu, i, v, tuple(row)) == dense
 
 
 def test_find_c_frozen():
