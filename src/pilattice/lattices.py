@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count, islice
 from math import gcd, prod
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 Row = Sequence[int]
 
@@ -275,15 +275,12 @@ class SubmoduleLattice(_Echelon):
             rel.append(coords)
         return cokernel_invariants(rel, self.rank)
 
-    def action_trace(self, image_of: Callable[[tuple[int, ...]], Row]) -> int:
-        """Trace of a linear map that preserves this lattice.
-
-        ``image_of`` maps a basis row to its image vector; the images must
-        all lie in the lattice again (checked).
-        """
+    def action_trace(self, action_map: Row) -> int:
+        """Trace on this lattice of the coordinate permutation ``action_map``
+        (as in ``permute_row``), which must preserve it (checked)."""
         tr = 0
         for i, row in enumerate(self.rows):
-            coords = self.coordinates_of(image_of(row))
+            coords = self.coordinates_of(permute_row(action_map, row))
             if coords is None:
                 raise ValueError("map does not preserve the lattice")
             tr += coords[i]

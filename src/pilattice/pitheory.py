@@ -27,7 +27,6 @@ from .lattices import (
     image_invariants,
     json_sanitize,
     orbit_span,
-    permute_row,
 )
 from .multilinear import (
     MultilinearPoly,
@@ -47,7 +46,7 @@ from .rings import (
     ut2,
 )
 from .specht import (
-    adjacent_transpositions,
+    _transposition_maps,
     check_tabloid_degree,
     conjugacy_class_reps,
     cycle_type,
@@ -59,6 +58,7 @@ from .specht import (
     rational_character,
     specht_character,
     specht_lattice,
+    tabloid_action_map,
     valid_pairs,
     verify_psi_lemma,
     young_expected,
@@ -127,8 +127,9 @@ def _guard(
 def evaluation_functionals(model: RingModel, n: int) -> list[Functional]:
     """Linear functionals describing all degree-n substitutions.
 
-    Columns index the n! monomials in ``monomial_order(n)``.  Every
-    generator tuple contributes one functional per ring coordinate it
+    Columns index the n! monomials in ``monomial_order(n)``, which are the
+    (1^n)-tabloids of ``specht.tabloid_module_basis`` in the same order.
+    Every generator tuple contributes one functional per ring coordinate it
     touches, valued in Z/(modulus of that coordinate).  Rows are
     deduplicated up to sign, which changes neither the subgroup they
     generate nor their common kernel.
@@ -137,7 +138,7 @@ def evaluation_functionals(model: RingModel, n: int) -> list[Functional]:
     tuple ``rep`` satisfies ``tup[i] = rep[pos[i] - 1]``, the monomial w
     takes on ``tup`` the value that pos∘w takes on ``rep``, so the rows of
     ``tup`` are those of ``rep`` with columns moved by
-    ``monomial_action_map(n, pos)``.
+    ``tabloid_action_map((1,) * n, pos)``.
     """
     order = monomial_order(n)
     gens = [{k: c for k, c in enumerate(g) if c} for g in model.generators]
@@ -175,7 +176,7 @@ def evaluation_functionals(model: RingModel, n: int) -> list[Functional]:
         pos = [0] * n
         for r, i in enumerate(argsort, 1):
             pos[i] = r
-        columns = monomial_action_map(n, tuple(pos))
+        columns = tabloid_action_map((1,) * n, tuple(pos))
         for k, values_k in base.items():
             row = [values_k[j] for j in columns]
             for x in row:
@@ -339,57 +340,17 @@ def proper_quotient_pair(
     row_budget: int | None = None,
 ) -> tuple[SubmoduleLattice, SubmoduleLattice]:
     """(everything, identities) in the coordinates of the proper basis;
-    the quotient is the degree-n proper value group, and the symmetric
-    group acts on both via ``proper_action_matrix``."""
+    the quotient is the degree-n proper value group.  The map c -> c B,
+    with B = ``proper_basis(n).matrix``, carries both S_n-equivariantly
+    into the monomial columns, where ``tabloid_action_map((1,) * n, word)``
+    acts."""
     _guard([(model, n, n_bound)], row_budget=row_budget)
     return SubmoduleLattice.full(_columns(n, True)), _kernel(model, n, True)
 
 
 # ---------------------------------------------------------------------------
-# symmetric-group actions in both coordinate systems
+# the character of the proper value group
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def monomial_action_map(n: int, word: Row) -> Row:
-    """Position map of the renaming action on the n! monomial columns."""
-    order = monomial_order(n)
-    index = {w: i for i, w in enumerate(order)}
-    return tuple(index[tuple(word[v - 1] for v in w)] for w in order)
-
-
-def monomial_row_action(n: int) -> Callable[[Row, Sequence[int]], list[int]]:
-    def act(word: Row, row: Sequence[int]) -> list[int]:
-        return permute_row(monomial_action_map(n, word), row)
-
-    return act
-
-
-@lru_cache(maxsize=None)
-def proper_action_matrix(n: int, word: Row) -> tuple[Row, ...]:
-    """Row i is (basis element i renamed by the word) in basis coordinates."""
-    basis = proper_basis(n)
-    rows = []
-    for elem in basis.elements:
-        coords = basis.coordinates(elem.expand().act(word))
-        if coords is None:
-            raise AssertionError("renaming left the proper lattice")
-        rows.append(tuple(coords))
-    return tuple(rows)
-
-
-def proper_row_action(n: int) -> Callable[[Row, Sequence[int]], list[int]]:
-    def act(word: Row, row: Sequence[int]) -> list[int]:
-        matrix = proper_action_matrix(n, word)
-        out = [0] * len(matrix)
-        for c, mrow in zip(row, matrix):
-            if c:
-                for k, v in enumerate(mrow):
-                    if v:
-                        out[k] += c * v
-        return out
-
-    return act
-
 
 def proper_quotient_character(
     model: RingModel,
@@ -407,12 +368,16 @@ def proper_quotient_character(
 
 @lru_cache(maxsize=None)
 def _proper_character(model: RingModel, t: int) -> tuple[int, ...]:
-    return rational_character(
-        SubmoduleLattice.full(_columns(t, True)),
-        _kernel(model, t, True),
-        proper_row_action(t),
-        conjugacy_class_reps(t),
+    # c -> c B is an S_t-equivariant isomorphism of the proper coordinates
+    # onto the proper lattice P, so P / (kernel B) has the same character
+    basis = proper_basis(t)
+    columns = list(zip(*basis.matrix))
+    carried = (
+        [sum(a * b for a, b in zip(c, col)) for col in columns]
+        for c in _kernel(model, t, True).rows
     )
+    kernel = SubmoduleLattice.from_rows(len(columns), carried)
+    return rational_character(basis.lattice, kernel, (1,) * t)
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +495,7 @@ def consequence_lattice(
             raise ValueError("identity must use the variables 1..degree")
         for lengths in itertools.product(range(1, n - f.degree + 2), repeat=f.degree):
             seeds += (_placed(n, f, k, lengths) for k in range(n - sum(lengths) + 1))
-    maps = [monomial_action_map(n, word) for word in adjacent_transpositions(n)]
-    return orbit_span(len(monomial_order(n)), seeds, maps)
+    return orbit_span(len(monomial_order(n)), seeds, _transposition_maps((1,) * n))
 
 
 def _shift(poly: MultilinearPoly, offset: int) -> MultilinearPoly:
@@ -698,7 +662,7 @@ def _drensky(model: RingModel, n: int) -> DrenskyReport:
         raise ValueError("need n >= 2")
     dim = len(monomial_order(n))
     kernel = _kernel(model, n, False)
-    maps = [monomial_action_map(n, word) for word in adjacent_transpositions(n)]
+    maps = _transposition_maps((1,) * n)
     # level t is level t+1 (closed under renaming) plus the renamings of
     # (x_1 ... x_{n-t}) * (proper basis element on the last t variables)
     levels = {n + 1: kernel}
@@ -710,13 +674,11 @@ def _drensky(model: RingModel, n: int) -> DrenskyReport:
         levels[t] = orbit_span(dim, seeds, maps, stable=levels[t + 1].rows)
     head = SubmoduleLattice.full(dim).quotient_invariants(levels[2])
     head_expected = cyclic_invariants(model.characteristic())
-    reps = conjugacy_class_reps(n)
-    act = monomial_row_action(n)
     factors = []
     for t in range(2, n + 1):
         inv = levels[t].quotient_invariants(levels[t + 1])
         expected = _invariants(model, t, True).power(math.comb(n, t))
-        chi = rational_character(levels[t], levels[t + 1], act, reps)
+        chi = rational_character(levels[t], levels[t + 1], (1,) * n)
         chi_expected = _induced_character(model, t, n)
         factors.append(DrenskyFactor(t, inv, expected, chi, chi_expected))
     return DrenskyReport(model.label, n, head, head_expected, tuple(factors))
@@ -872,21 +834,24 @@ def verify_grassmann(
 ) -> list[VerificationOutcome]:
     """Exterior-family checks: the 2^{n-1} codimension formula at
     truncation K = n+1 with K vs K+1 stabilization, the identity basis,
-    the alternating proper quotients (zero in odd degree), and the
-    hook-rank accounting for the codimension total."""
+    the alternating proper quotients (zero in odd degree) in degrees
+    2..proper_n_max, and the hook-rank accounting for the codimension
+    total.  A ``proper_n_max`` above ``GENERAL_N_MAX`` is rejected before
+    any work."""
     out: list[VerificationOutcome] = []
     label = f"grassmann({ell},*)"
     basis = grassmann_identity_basis(ell)
     probe = grassmann(ell, 5)
     degrees = range(2, n_max + 1)
-    # the probe carries the family cap; the truncations are built only
-    # once that cap has passed
+    proper_degrees = range(2, proper_n_max + 1)
+    # the probe carries the family caps; the truncations are built only
+    # once those caps have passed
     _guard(
-        [(probe, n_max, None)],
+        [(probe, n_max, None), *((probe, t, GENERAL_N_MAX) for t in proper_degrees)],
         itertools.chain(
             ((probe, f.degree) for f in basis),
             ((grassmann(ell, n + k), n) for n in degrees for k in (1, 2)),
-            ((grassmann(ell, t + 1), t) for t in range(2, proper_n_max + 1)),
+            ((grassmann(ell, t + 1), t) for t in proper_degrees),
         ),
         row_budget,
     )
@@ -933,7 +898,7 @@ def verify_grassmann(
                     "kernel differs from consequences of the identity basis",
                 )
             )
-    for t in range(2, proper_n_max + 1):
+    for t in proper_degrees:
         model = grassmann(ell, t + 1)
         got = _invariants(model, t, True)
         if t % 2:

@@ -17,14 +17,13 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .lattices import (
     AbelianInvariants,
     LatticeBuilder,
     SubmoduleLattice,
     orbit_span,
-    permute_row,
     preimage,
     split_hnf,
 )
@@ -231,21 +230,38 @@ def adjacent_transpositions(n: int) -> tuple[PermWord, ...]:
     return tuple(ident[: i - 1] + (i + 1, i) + ident[i + 1 :] for i in range(1, n))
 
 
+def _transposition_maps(mu: Composition) -> list[tuple[int, ...]]:
+    """The maps of the adjacent transpositions (i, i+1), which generate the
+    action for ``orbit_span``."""
+    return [tabloid_action_map(mu, w) for w in adjacent_transpositions(sum(mu))]
+
+
 @lru_cache(maxsize=None)
-def _transposition_maps(mu: Composition) -> tuple[tuple[int, ...], ...]:
-    """For each adjacent transposition (i, i+1), the induced permutation of
-    tabloid indices."""
-    return tuple(tabloid_action_map(mu, w) for w in adjacent_transpositions(sum(mu)))
-
-
 def tabloid_action_map(mu: Composition, word: PermWord) -> tuple[int, ...]:
-    """Index permutation of the action of a one-line permutation word."""
-    basis = tabloid_module_basis(mu)
-    index = _tabloid_index(mu)
-    return tuple(
-        index[tuple(tuple(sorted(word[x - 1] for x in row)) for row in tab)]
-        for tab in basis
-    )
+    """Index permutation of the action of a one-line permutation word: the
+    word moves tabloid i to tabloid ``map[i]`` (see ``permute_row``).
+
+    The (1^n)-tabloids, read as words, are the monomials of
+    ``monomial_order(n)`` in the same order, so for mu = (1^n) this is the
+    renaming action on the n! monomial columns: the swap of x_1 and x_2
+    takes x1x2x3 (column 0) to x2x1x3 (column 2).
+
+    >>> tabloid_action_map((1, 1, 1), (2, 1, 3))
+    (2, 3, 0, 1, 5, 4)
+    """
+    # a tabloid is read as the row of each entry 1..n; in its image, entry
+    # y lies in the row that held the x with word[x - 1] = y
+    n = len(word)
+    back = sorted(range(n), key=word.__getitem__)
+    rows_of = []
+    for tab in tabloid_module_basis(mu):
+        row_of = [0] * n
+        for k, row in enumerate(tab):
+            for x in row:
+                row_of[x - 1] = k
+        rows_of.append(tuple(row_of))
+    index = {r: i for i, r in enumerate(rows_of)}
+    return tuple([index[tuple(map(r.__getitem__, back))] for r in rows_of])
 
 
 @dataclass(frozen=True)
@@ -734,34 +750,22 @@ def conjugacy_class_reps(n: int) -> tuple[tuple[Partition, PermWord], ...]:
 
 
 def rational_character(
-    outer: SubmoduleLattice,
-    inner: SubmoduleLattice,
-    row_action: Callable[[PermWord, Sequence[int]], Sequence[int]],
-    reps: Sequence[tuple[Partition, PermWord]],
+    outer: SubmoduleLattice, inner: SubmoduleLattice, mu: Composition
 ) -> tuple[int, ...]:
-    """Traces of class representatives on (outer/inner) tensored with Q.
+    """Traces of the class representatives of S_n, n = sum(mu), one per
+    cycle type in ``partitions(n)`` order, on (outer/inner) tensored with Q.
 
-    ``row_action(word, row)`` must return the image of an ambient row
-    under the permutation; both lattices must be preserved (checked)."""
+    Both lattices lie in M(mu), where a permutation acts by
+    ``tabloid_action_map``, and must be preserved by it (checked)."""
     values = []
-    for _, word in reps:
-        tr_outer = outer.action_trace(lambda row: row_action(word, row))
-        tr_inner = inner.action_trace(lambda row: row_action(word, row)) if inner.rank else 0
-        values.append(tr_outer - tr_inner)
+    for _, word in conjugacy_class_reps(sum(mu)):
+        action = tabloid_action_map(mu, word)
+        values.append(outer.action_trace(action) - inner.action_trace(action))
     return tuple(values)
 
 
 def specht_character(lam: Partition) -> tuple[int, ...]:
     """Ordinary character of the Specht lattice S(lam), one value per
     cycle type in ``partitions(sum(lam))`` order."""
-    p = PartitionPair(lam, lam)
-    latt = specht_lattice(p)
-    n = sum(lam)
-    reps = conjugacy_class_reps(n)
-    maps = {word: tabloid_action_map(lam, word) for _, word in reps}
-    return rational_character(
-        latt,
-        SubmoduleLattice.zero(latt.ambient),
-        lambda word, row: permute_row(maps[word], row),
-        reps,
-    )
+    latt = specht_lattice(PartitionPair(lam, lam))
+    return rational_character(latt, SubmoduleLattice.zero(latt.ambient), lam)

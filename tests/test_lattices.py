@@ -36,9 +36,8 @@ from pilattice.lattices import (
     split_hnf,
     xgcd,
 )
-from pilattice.pitheory import monomial_action_map
 from pilattice.rings import cyclic_ring
-from pilattice.specht import adjacent_transpositions
+from pilattice.specht import adjacent_transpositions, tabloid_action_map
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +578,8 @@ def full_orbit_fold(n, seeds, stable=()):
     sigma . seed for every seed and every sigma in S_n, acting by renaming
     on the n! monomial columns."""
     words = list(itertools.permutations(range(1, n + 1)))
-    images = [permute_row(monomial_action_map(n, w), s) for s in seeds for w in words]
+    maps = [tabloid_action_map((1,) * n, w) for w in words]
+    images = [permute_row(m, s) for s in seeds for m in maps]
     return oracle_hnf([*stable, *images], math.factorial(n))
 
 
@@ -591,7 +591,7 @@ def test_orbit_span_matches_full_orbit_fold(data):
     vector = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
     seeds = data.draw(st.lists(vector, min_size=1, max_size=3))
     stable = full_orbit_fold(n, [data.draw(vector)])
-    maps = [monomial_action_map(n, w) for w in adjacent_transpositions(n)]
+    maps = [tabloid_action_map((1,) * n, w) for w in adjacent_transpositions(n)]
     assert orbit_span(dim, seeds, maps).rows == full_orbit_fold(n, seeds)
     assert orbit_span(dim, seeds, maps, stable).rows == full_orbit_fold(n, seeds, stable)
 
@@ -605,7 +605,7 @@ def test_builder_entries_stay_small():
     for _ in range(5):
         seed = [rng.randint(-3, 3) for _ in range(24)]
         for w in itertools.permutations(range(1, 5)):
-            builder.add(permute_row(monomial_action_map(4, w), seed))
+            builder.add(permute_row(tabloid_action_map((1,) * 4, w), seed))
     assert max(abs(c).bit_length() for r in builder.rows for c in r) <= 64
 
 
@@ -756,7 +756,7 @@ def test_orbit_span_under_non_involutions(n, monkeypatch):
     and otherwise folds what the reference folds, through the same states."""
     dim = math.factorial(n)
     words = [(*range(2, n + 1), 1), (2, 1, *range(3, n + 1))]
-    maps = [monomial_action_map(n, w) for w in words]
+    maps = [tabloid_action_map((1,) * n, w) for w in words]
     rng = random.Random(n)
     seeds = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(2)]
     assert orbit_span(dim, seeds, maps).rows == full_orbit_fold(n, seeds)

@@ -11,6 +11,7 @@ import pytest
 from pilattice import pitheory
 from pilattice.lattices import (
     AbelianInvariants, SubmoduleLattice, evaluation_kernel, image_invariants,
+    permute_row,
 )
 from pilattice.multilinear import (
     MultilinearPoly, bracket_poly, monomial_order, proper_basis,
@@ -29,12 +30,10 @@ from pilattice.pitheory import (
     identities_in_kernel,
     identities_vanish,
     kernel_lattice,
-    monomial_row_action,
     ordinary_codim,
     proper_codim,
     proper_quotient_character,
     proper_quotient_pair,
-    proper_row_action,
     run_claim,
     unit_subgroup_invariants,
     ut2_identity_basis,
@@ -49,7 +48,9 @@ from pilattice.rings import (
     RingModel, cyclic_ring, direct_sum, evaluate, generator_tuples, grassmann,
     tuple_count, ut2,
 )
-from pilattice.specht import specht_character
+from pilattice.specht import (
+    conjugacy_class_reps, specht_character, tabloid_action_map,
+)
 from test_lattices import assert_torsion_counts, brute_image
 
 
@@ -122,6 +123,48 @@ def test_proper_character_matches_hook_specht():
     assert chi == specht_character((2, 1)) == (-1, 0, 2)
     # torsion case: rational character of a finite group is zero
     assert proper_quotient_character(ut2(2, 2), 3) == (0, 0, 0)
+
+
+@lru_cache(maxsize=None)
+def proper_coordinate_action(t, word):
+    """Reference action on the proper coordinates: row i is proper basis
+    element i, expanded, renamed by the word and solved back onto the
+    basis."""
+    basis = proper_basis(t)
+    return tuple(
+        tuple(basis.coordinates(e.expand().act(word))) for e in basis.elements
+    )
+
+
+def proper_coordinate_trace(lattice, t, word):
+    """Trace of the reference action on a lattice of proper coordinates."""
+    matrix = proper_coordinate_action(t, word)
+    trace = 0
+    for i, row in enumerate(lattice.rows):
+        image = [sum(c * m[k] for c, m in zip(row, matrix)) for k in range(len(matrix))]
+        coords = lattice.coordinates_of(image)
+        assert coords is not None, "renaming left the lattice"
+        trace += coords[i]
+    return trace
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5])
+def test_proper_character_matches_the_proper_coordinate_trace(t):
+    """The character, taken on the proper lattice in the monomial columns,
+    against the trace on the proper coordinates of ``proper_quotient_pair``."""
+    models = [
+        ut2(0, 0), ut2(2, 2), ut2(4, 2), cyclic_ring(0), cyclic_ring(6),
+        grassmann(0, t + 1), grassmann(3, t + 1),
+        direct_sum(ut2(0, 0), cyclic_ring(0)),
+    ]
+    for model in models:
+        outer, inner = proper_quotient_pair(model, t, n_bound=t)
+        expected = tuple(
+            proper_coordinate_trace(outer, t, word)
+            - proper_coordinate_trace(inner, t, word)
+            for _, word in conjugacy_class_reps(t)
+        )
+        assert proper_quotient_character(model, t, n_bound=t) == expected, model.label
 
 
 def test_codim_report_shape():
@@ -359,6 +402,24 @@ def test_claims_guard_every_model_before_any_evaluation(monkeypatch):
     assert (exc.value.label, exc.value.n) == ("grassmann(3,5)", 1)
 
 
+def test_grassmann_claim_caps_its_proper_degrees_before_any_evaluation(monkeypatch):
+    def untouchable(*args, **kwargs):
+        raise AssertionError("an evaluation ran before the guard")
+
+    monkeypatch.setattr(pitheory, "_invariants", untouchable)
+    # a generous row budget must not let degree-8 work start
+    for proper_n_max in (GENERAL_N_MAX + 1, 8):
+        config = {"subjects": [3], "n_max": 2, "proper_n_max": proper_n_max,
+                  "row_budget": 10**12}
+        with pytest.raises(ValueError, match="exceeds"):
+            run_claim("grassmann.codim", config)
+    monkeypatch.undo()
+    # below 2 no proper degree is selected
+    outcomes = verify_grassmann(3, 2, proper_n_max=1)
+    assert_all_passed(outcomes)
+    assert not [o for o in outcomes if o.subject.endswith("proper")]
+
+
 def test_claims_check_the_budget_of_every_evaluation():
     # the largest evaluation each claim makes: identity degree 4 for ut2.codim,
     # the top degree for the others
@@ -487,19 +548,28 @@ def test_consequences_require_normalized_variables():
 def test_kernel_is_renaming_stable():
     model = ut2(2, 2)
     kern = kernel_lattice(model, 3)
-    act = monomial_row_action(3)
     for word in monomial_order(3):
+        action = tabloid_action_map((1, 1, 1), word)
         for row in kern.rows:
-            assert kern.contains(act(word, row))
+            assert kern.contains(permute_row(action, row))
 
 
 def test_proper_kernel_is_renaming_stable():
+    """Each identity row c, carried to the monomial columns as c B, renamed
+    there and solved back onto the proper basis, stays an identity row."""
     outer, inner = proper_quotient_pair(ut2(2, 2), 4)
     assert outer.rank == 9
-    act = proper_row_action(4)
+    basis = proper_basis(4)
+    carried = [
+        [sum(c * b[k] for c, b in zip(row, basis.matrix)) for k in range(24)]
+        for row in inner.rows
+    ]
     for word in monomial_order(4):
-        for row in inner.rows:
-            assert inner.contains(act(word, row))
+        action = tabloid_action_map((1,) * 4, word)
+        for vec in carried:
+            renamed = MultilinearPoly.from_vector(permute_row(action, vec), 4)
+            coords = basis.coordinates(renamed)
+            assert coords is not None and inner.contains(coords)
 
 
 # ---------------------------------------------------------------------------

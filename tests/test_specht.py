@@ -29,7 +29,6 @@ from pilattice.specht import (
     op_R,
     pair,
     partitions,
-    permute_row,
     polytabloid,
     psi,
     specht_character,
@@ -42,7 +41,8 @@ from pilattice.specht import (
     verify_psi_lemma,
     young_expected,
 )
-from pilattice.lattices import AbelianInvariants, SubmoduleLattice
+from pilattice.lattices import AbelianInvariants, SubmoduleLattice, permute_row
+from pilattice.multilinear import MultilinearPoly, monomial_order
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +186,26 @@ def test_tabloid_action_map_matches_vector_action(word):
     direct = x.act(word).to_row()
     mapped = permute_row(tabloid_action_map(mu, word), x.to_row())
     assert direct == mapped
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_singleton_tabloids_are_the_monomial_columns(n):
+    words = [tuple(row for (row,) in tab) for tab in tabloid_module_basis((1,) * n)]
+    assert words == list(monomial_order(n))
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_singleton_tabloid_action_renames_monomials(data):
+    """On M(1^n) the tabloid action is the renaming of variables, with
+    ``MultilinearPoly.act`` as the reference."""
+    n = data.draw(st.integers(1, 5))
+    word = tuple(data.draw(st.permutations(range(1, n + 1))))
+    coeffs = st.lists(st.integers(-3, 3), min_size=math.factorial(n),
+                      max_size=math.factorial(n))
+    f = MultilinearPoly.from_vector(data.draw(coeffs), n)
+    mapped = permute_row(tabloid_action_map((1,) * n, word), f.to_vector(n))
+    assert mapped == f.act(word).to_vector(n)
 
 
 # ---------------------------------------------------------------------------
