@@ -8,7 +8,8 @@ from alternating folds.  Only ``field_rank``'s mod-p check works apart.
 
 Vectors are rows throughout; a lattice is the row span of a matrix, and a
 map acts on the right (``v @ M``).  Matrices are plain ``list[list[int]]``
-(or tuples of tuples once frozen) -- no floats anywhere.
+(or tuples of tuples once frozen), and the fold in progress holds each row
+as the {column: value} dict of its nonzero entries -- no floats anywhere.
 """
 
 from __future__ import annotations
@@ -17,11 +18,13 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, count, islice
+from heapq import heapify, heappop, heappush
+from itertools import compress, islice
 from math import gcd, prod
 from typing import Iterable, Sequence
 
 Row = Sequence[int]
+Sparse = dict[int, int]
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -48,27 +51,45 @@ def _support(row: Row, start: int) -> tuple[int, ...]:
     return tuple(compress(range(start, len(row)), islice(row, start, None)))
 
 
-class _Echelon:
-    """Reduction against echelon ``rows`` with strictly increasing
-    ``pivots``, shared by the streaming builder and the frozen lattice;
-    row i acts only on ``supports[i]``, its nonzero columns."""
-
-    __slots__ = ()
-
-    def reduce(self, row: Row) -> list[int]:
-        """Remainder of ``row`` after reduction against the basis."""
-        v = list(row)
-        for r, j, support in zip(self.rows, self.pivots, self.supports):
-            if q := v[j] // r[j]:
-                for c in support:
-                    v[c] -= q * r[c]
-        return v
-
-    def contains(self, row: Row) -> bool:
-        return not any(self.reduce(row))
+def _sparse(row: Row | Sparse, ambient: int) -> Sparse:
+    """The nonzero entries of a dense row of length ``ambient``, or of a
+    {column: value} dict whose columns lie in [0, ambient), as a new dict."""
+    if isinstance(row, dict):
+        if row and not (0 <= min(row) and max(row) < ambient):
+            raise ValueError(f"columns {min(row)}..{max(row)} outside [0, {ambient})")
+        return {c: x for c, x in row.items() if x}
+    if len(row) != ambient:
+        raise ValueError(f"row length {len(row)} != ambient {ambient}")
+    return {c: row[c] for c in compress(range(ambient), row)}
 
 
-class LatticeBuilder(_Echelon):
+def _combine(s: int, a: Sparse, t: int, b: Sparse) -> Sparse:
+    """s*a + t*b over the union of their columns, zeros dropped."""
+    return {c: x for c in a.keys() | b.keys() if (x := s * a.get(c, 0) + t * b.get(c, 0))}
+
+
+def _reduce(w: Sparse, echelon: dict[int, Sparse], after: int = -1) -> Sparse:
+    """Reduce ``w`` in place against the rows of ``echelon`` (keyed by their
+    pivot columns): at each pivot column right of ``after`` that w holds,
+    in increasing order, subtract the floor quotient times its row.  A
+    column that w does not hold gives quotient 0, and a row adds only
+    columns right of its pivot, so this is the dense pass over the rows."""
+    heap = [c for c in w if c > after and c in echelon]
+    heapify(heap)
+    while heap:
+        j = heappop(heap)
+        if j in w and (q := w[j] // (r := echelon[j])[j]):
+            for c, rc in r.items():
+                if c not in w and c in echelon:
+                    heappush(heap, c)
+                if x := w.get(c, 0) - q * rc:
+                    w[c] = x
+                else:
+                    del w[c]
+    return w
+
+
+class LatticeBuilder:
     """Streaming row-HNF accumulator for a sublattice of Z^ambient.
 
     Rows are folded one at a time; the builder keeps an echelon basis with
@@ -78,98 +99,98 @@ class LatticeBuilder(_Echelon):
     an image that repeats a queued row up to sign.  Call ``snapshot`` for
     the canonical Hermite form.
 
+    ``add`` takes a dense row or a {column: value} dict.  ``echelon`` maps
+    each pivot to its row, the dict of its nonzero entries; ``rows`` and
+    ``pivots`` list them in pivot order.  The arithmetic is the dense
+    fold's, and only zeros are never read: a step at pivot j clears v[j]
+    and both rows are zero left of j, so the next leading entry lies right
+    of j; and v - q*r changes v only at the columns of r.
+
     An xgcd-combined row is reduced against the later pivots before it is
     stored (its pivot entry g < a, so the earlier rows leave it alone):
     unreduced, such rows feed each other and the entries grow to thousands
     of bits on dense inputs, while the Hermite form's stay small.
-
-    Each row's nonzero columns are kept in ``supports``; they change which
-    zeros are read, never the arithmetic.  A step at pivot j clears v[j]
-    (b - q*a = 0, or (a/g)*b - (b/g)*a = 0) and both rows are zero left of
-    j, so the next leading entry lies right of j; and v - q*r changes v
-    only on the support of r.
     """
 
-    __slots__ = ("ambient", "rows", "pivots", "supports")
+    __slots__ = ("ambient", "echelon")
 
-    def __init__(self, ambient: int, rows: Iterable[Row] = ()):
+    def __init__(self, ambient: int, rows: Iterable[Row | Sparse] = ()):
         self.ambient = ambient
-        self.rows: list[list[int]] = []
-        self.pivots: list[int] = []
-        self.supports: list[tuple[int, ...]] = []
+        self.echelon: dict[int, Sparse] = {}
         for row in rows:
             self.add(row)
 
-    def add(self, row: Row) -> bool:
-        v = list(row)
-        if len(v) != self.ambient:
-            raise ValueError(f"row length {len(v)} != ambient {self.ambient}")
-        rows, pivots, supports = self.rows, self.pivots, self.supports
-        changed = False
-        i = j = 0
-        while True:
-            j = next(compress(count(j), islice(v, j, None)), None)
-            if j is None:
-                return changed
-            i = bisect_left(pivots, j, i)
-            if i < len(pivots) and pivots[i] == j:
-                r = rows[i]
-                a, b = r[j], v[j]
-                if b % a == 0:
-                    q = b // a
-                    for c in supports[i]:
-                        v[c] -= q * r[c]
-                else:
-                    g, x, y = xgcd(a, b)
-                    rows[i] = self.reduce([x * rc + y * vc for rc, vc in zip(r, v)])
-                    supports[i] = _support(rows[i], j)
-                    v = [(a // g) * vc - (b // g) * rc for rc, vc in zip(r, v)]
-                    changed = True
-                j += 1
-            else:
-                if v[j] < 0:
-                    v = [-c for c in v]
-                rows.insert(i, v)
-                pivots.insert(i, j)
-                supports.insert(i, _support(v, j))
-                return True
+    @property
+    def pivots(self) -> list[int]:
+        return sorted(self.echelon)
 
-    def pop(self) -> list[int]:
-        """Remove and return the row with the largest pivot."""
-        self.pivots.pop()
-        self.supports.pop()
-        return self.rows.pop()
+    @property
+    def rows(self) -> list[Sparse]:
+        return [self.echelon[j] for j in self.pivots]
+
+    def add(self, row: Row | Sparse) -> bool:
+        v = _sparse(row, self.ambient)
+        echelon = self.echelon
+        changed = False
+        while v:
+            j = min(v)
+            r = echelon.get(j)
+            if r is None:
+                if v[j] < 0:
+                    v = {c: -x for c, x in v.items()}
+                echelon[j] = v
+                return True
+            a, b = r[j], v[j]
+            if b % a == 0:
+                q = b // a
+                for c, rc in r.items():
+                    if x := v.get(c, 0) - q * rc:
+                        v[c] = x
+                    else:
+                        del v[c]
+            else:
+                g, x, y = xgcd(a, b)
+                echelon[j] = _reduce(_combine(x, r, y, v), echelon, j)
+                v = _combine(a // g, v, -(b // g), r)
+                changed = True
+        return changed
+
+    def reduce(self, row: Row | Sparse) -> Sparse:
+        """Nonzero entries of the remainder of ``row`` after reduction
+        against the basis."""
+        return _reduce(_sparse(row, self.ambient), self.echelon)
+
+    def contains(self, row: Row | Sparse) -> bool:
+        return not self.reduce(row)
 
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.echelon)
 
     def snapshot(self) -> "SubmoduleLattice":
         """Canonical Hermite form of the accumulated lattice."""
-        return _hermite(self.ambient, self.rows, self.pivots)
+        pivots = self.pivots
+        return _hermite(self.ambient, [self.echelon[j] for j in pivots], pivots)
 
 
-def _hermite(
-    ambient: int, rows: Sequence[Row], pivots: Sequence[int]
-) -> SubmoduleLattice:
-    """Canonical Hermite form of echelon ``rows`` with the given pivots.
+def _hermite(ambient: int, rows: Sequence[Sparse], pivots: Sequence[int]) -> SubmoduleLattice:
+    """Canonical Hermite form of echelon dict ``rows`` with the given pivots.
 
-    Entries above each pivot are reduced into [0, pivot) in increasing pivot
-    order: rows are echelon, so reducing against a later pivot never
-    reintroduces entries in an earlier pivot column.  Tuple rows that need
-    no reduction are shared with the result, not copied.  Row i acts only
-    on its support, found the first time it reduces a row.
-    """
-    rows = list(rows)
-    for i, j in enumerate(pivots):
-        r, support = rows[i], None
-        for k in range(i):
-            q = rows[k][j] // r[j]
-            if q:
-                support = support or _support(r, j)
-                w = rows[k] = list(rows[k])
-                for c in support:
-                    w[c] -= q * r[c]
-    return SubmoduleLattice(ambient, tuple(map(tuple, rows)), tuple(pivots))
+    Entries above each pivot are reduced into [0, pivot).  The dense form
+    reduces, for each pivot in increasing order, every earlier row against
+    it; so row k is changed only by the rows i > k, in increasing i, while
+    those are still unreduced, and is reduced here on its own against them.
+    Each row is written out dense once, with the support known here."""
+    echelon = dict(zip(pivots, rows))
+    rows = [_reduce(dict(w), echelon, j) for j, w in zip(pivots, rows)]
+    dense = []
+    for w in rows:
+        d = [0] * ambient
+        for c, x in w.items():
+            d[c] = x
+        dense.append(tuple(d))
+    latt = SubmoduleLattice(ambient, tuple(dense), tuple(pivots))
+    latt.__dict__["supports"] = tuple(tuple(sorted(w)) for w in rows)  # the cached_property
+    return latt
 
 
 def hnf(rows: Iterable[Row], ambient: int | None = None) -> tuple[tuple[int, ...], ...]:
@@ -194,8 +215,9 @@ def hnf(rows: Iterable[Row], ambient: int | None = None) -> tuple[tuple[int, ...
 
 
 @dataclass(frozen=True)
-class SubmoduleLattice(_Echelon):
-    """A sublattice of Z^ambient, stored as its canonical row HNF."""
+class SubmoduleLattice:
+    """A sublattice of Z^ambient, stored as its canonical row HNF; row i
+    acts only on ``supports[i]``, its nonzero columns."""
 
     ambient: int
     rows: tuple[tuple[int, ...], ...]
@@ -221,6 +243,18 @@ class SubmoduleLattice(_Echelon):
     @cached_property
     def supports(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(_support, self.rows, self.pivots))
+
+    def reduce(self, row: Row) -> list[int]:
+        """Remainder of ``row`` after reduction against the basis."""
+        v = list(row)
+        for r, j, support in zip(self.rows, self.pivots, self.supports):
+            if q := v[j] // r[j]:
+                for c in support:
+                    v[c] -= q * r[c]
+        return v
+
+    def contains(self, row: Row) -> bool:
+        return not any(self.reduce(row))
 
     def is_saturated(self) -> bool:
         """True iff Z^ambient / self is torsion-free.
@@ -307,12 +341,12 @@ def orbit_span(
     Parker, "The computer calculation of modular characters", 1984).
 
     Rows wait in the work list as the sorted (column, value) pairs of their
-    nonzero entries; a map moves the columns, and only a row handed to the
-    builder is made dense.  A row equal up to sign to one queued before it
-    is skipped: the work list is first in, first out, so the earlier row is
-    folded first, and the builder would reduce the repeat to zero without
-    changing a row.  The builder thus passes through the same states as
-    when every image is folded.
+    nonzero entries; a map moves the columns, and a row goes to the builder
+    as the dict of those pairs.  A row equal up to sign to one queued before
+    it is skipped: the work list is first in, first out, so the earlier row
+    is folded first, and the builder would reduce the repeat to zero
+    without changing a row.  The builder thus passes through the same
+    states as when every image is folded.
 
     >>> orbit_span(3, [[1, -1, 0]], [(1, 0, 2), (0, 2, 1)]).rows
     ((1, 0, -1), (0, 1, -1))
@@ -325,7 +359,7 @@ def orbit_span(
     >>> folded, add = [], LatticeBuilder.add
     >>> LatticeBuilder.add = lambda self, row: folded.append(row) or add(self, row)
     >>> orbit_span(2, [[1, -1]], [(1, 0)]).rows, folded
-    (((1, -1),), [[1, -1]])
+    (((1, -1),), [{0: 1, 1: -1}])
     >>> LatticeBuilder.add = add
     """
     builder = LatticeBuilder(ambient, stable)
@@ -344,19 +378,18 @@ def orbit_span(
         queue(tuple((c, x) for c, x in enumerate(seed) if x))
     while work:
         entries = work.popleft()
-        row = [0] * ambient
-        for c, x in entries:
-            row[c] = x
-        if builder.add(row):
+        if builder.add(dict(entries)):
             for m in maps:
                 queue(tuple(sorted((m[c], x) for c, x in entries)))
     return builder.snapshot()
 
 
 def split_hnf(
-    pairs: Iterable[tuple[Row, Row]], head: int, tail: int
+    pairs: Iterable[tuple[Row | Sparse, Row | Sparse]], head: int, tail: int
 ) -> tuple[LatticeBuilder, SubmoduleLattice, SubmoduleLattice]:
-    """One echelon fold of the rows [h | t] for the (h, t) in ``pairs``.
+    """One echelon fold of the rows [h | t] for the (h, t) in ``pairs``;
+    each part is a dense row or a {column: value} dict, and each [h | t]
+    is handed to the builder as one dict.
 
     Returns (whole, image, relations): ``image`` is the Hermite form of the
     heads h in Z^head, ``relations`` the Hermite form of the tails
@@ -371,24 +404,26 @@ def split_hnf(
     >>> image.rows, relations.rows
     (((1, 2),), ((2, -1),))
     """
-    whole = LatticeBuilder(head + tail, ([*h, *t] for h, t in pairs))
-    k = bisect_left(whole.pivots, head)
-    tail_pivots = [j - head for j in whole.pivots[k:]]
-    # a row whose pivot lies in the tail has a zero head; move each out
-    # as soon as its tail is copied
-    moved = [tuple(whole.pop()[head:]) for _ in range(whole.rank() - k)][::-1]
-    relations = _hermite(tail, moved, tail_pivots)
-    image = _hermite(head, [tuple(r[:head]) for r in whole.rows], whole.pivots)
-    return whole, image, relations
+    whole = LatticeBuilder(
+        head + tail,
+        (_sparse(h, head) | {head + c: x for c, x in _sparse(t, tail).items()} for h, t in pairs),
+    )
+    echelon, pivots = whole.echelon, whole.pivots
+    k = bisect_left(pivots, head)
+    # a row whose pivot lies in the tail has a zero head; move it out
+    moved = [{c - head: x for c, x in echelon.pop(j).items()} for j in pivots[k:]]
+    relations = _hermite(tail, moved, [j - head for j in pivots[k:]])
+    heads = [{c: x for c, x in echelon[j].items() if c < head} for j in pivots[:k]]
+    return whole, _hermite(head, heads, pivots[:k]), relations
 
 
 def preimage(whole: LatticeBuilder, u: Row) -> list[int] | None:
     """A tail t with [u | t] in the fold ``whole`` of ``split_hnf``, or None
     when u is not in its image."""
-    v = whole.reduce([*u, *[0] * (whole.ambient - len(u))])
-    if any(v[: len(u)]):
+    v = _reduce(_sparse(u, len(u)), whole.echelon)
+    if v and min(v) < len(u):
         return None
-    return [-c for c in v[len(u) :]]
+    return [-v.get(c, 0) for c in range(len(u), whole.ambient)]
 
 
 def kernel_basis(rows: Sequence[Row], ambient: int) -> list[list[int]]:

@@ -248,26 +248,20 @@ class RingModel:
         builder = LatticeBuilder(self.rank)
         for k, m in enumerate(self.moduli):
             if m:
-                builder.add(tuple(m if i == k else 0 for i in range(self.rank)))
+                builder.add({k: m})
         for g in self.generators:
             builder.add(g)
         # close under products until the lattice is all of Z^rank (full rank,
         # every pivot 1), where no product can enlarge it any more; built-in
-        # families get there from their generators alone
+        # families get there from their generators alone; mul_sparse takes
+        # the builder's {column: value} rows as they are
         while builder.rank() != self.rank or any(
             r[j] != 1 for r, j in zip(builder.rows, builder.pivots)
         ):
-            rows = [list(r) for r in builder.rows]
+            rows = list(builder.rows)
             grown = False
             for a, b in itertools.product(rows, repeat=2):
-                prod = self.mul_sparse(
-                    {i: c for i, c in enumerate(a) if c},
-                    {i: c for i, c in enumerate(b) if c},
-                )
-                vec = [0] * self.rank
-                for k, c in prod.items():
-                    vec[k] = c
-                if builder.add(vec):
+                if builder.add(self.mul_sparse(a, b)):
                     grown = True
             if not grown:
                 raise ValueError(

@@ -249,19 +249,26 @@ def tabloid_action_map(mu: Composition, word: PermWord) -> tuple[int, ...]:
     >>> tabloid_action_map((1, 1, 1), (2, 1, 3))
     (2, 3, 0, 1, 5, 4)
     """
-    # a tabloid is read as the row of each entry 1..n; in its image, entry
-    # y lies in the row that held the x with word[x - 1] = y
-    n = len(word)
-    back = sorted(range(n), key=word.__getitem__)
-    rows_of = []
+    # in the image of a row word, entry y lies in the row that held the x
+    # with word[x - 1] = y
+    back = sorted(range(len(word)), key=word.__getitem__)
+    words, index = _row_words(mu)
+    return tuple([index[tuple(map(w.__getitem__, back))] for w in words])
+
+
+@lru_cache(maxsize=None)
+def _row_words(mu: Composition) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]:
+    """The mu-tabloids as words (the row of each entry 1..n) and their index,
+    whose ints every cached action map shares: one pointer per tabloid."""
+    n = sum(mu)
+    words = []
     for tab in tabloid_module_basis(mu):
         row_of = [0] * n
         for k, row in enumerate(tab):
             for x in row:
                 row_of[x - 1] = k
-        rows_of.append(tuple(row_of))
-    index = {r: i for i, r in enumerate(rows_of)}
-    return tuple([index[tuple(map(r.__getitem__, back))] for r in rows_of])
+        words.append(tuple(row_of))
+    return tuple(words), {w: i for i, w in enumerate(words)}
 
 
 @dataclass(frozen=True)
@@ -426,13 +433,14 @@ def _psi_index_images(mu: Composition, i: int, v: int) -> tuple[tuple[int, ...],
     return tuple(images)
 
 
-def _psi_row(mu: Composition, i: int, v: int, row: Sequence[int]) -> list[int]:
-    nu = _psi_shape(mu, i, v)
-    out = [0] * len(tabloid_module_basis(nu))
-    images = _psi_index_images(mu, i, v)
-    for targets, c in zip(itertools.compress(images, row), itertools.compress(row, row)):
-        for t in targets:
-            out[t] += c
+def _psi_row(images: Sequence[tuple[int, ...]], row: Mapping[int, int]) -> dict[int, int]:
+    """psi of the M(mu) vector with entries ``row`` ({tabloid index:
+    coefficient}) as {nu-tabloid index: coefficient}, where ``images`` is
+    ``_psi_index_images(mu, i, v)``; entries that cancel stay as zeros."""
+    out: dict[int, int] = {}
+    for s, c in row.items():
+        for t in images[s]:
+            out[t] = out.get(t, 0) + c
     return out
 
 
@@ -445,7 +453,9 @@ def psi(i: int, v: int, x: TabloidVector) -> TabloidVector:
     {((1, 2),): 1}
     """
     nu = _psi_shape(x.shape, i, v)
-    return TabloidVector.from_row(nu, _psi_row(x.shape, i, v, x.to_row()))
+    out = _psi_row(_psi_index_images(x.shape, i, v), dict(enumerate(x.to_row())))
+    basis = tabloid_module_basis(nu)
+    return TabloidVector(nu, {basis[t]: out[t] for t in sorted(out)})
 
 
 def find_c(p: PartitionPair) -> int | None:
@@ -563,8 +573,10 @@ def _psi_split(p: PartitionPair):
     v = lam_pad[c - 1]
     S = specht_lattice(p)
     r_pair, a_pair = op_R(c, p), op_A(c, p)
+    images = _psi_index_images(p.mu, c - 1, v)
+    rows = ({j: row[j] for j in support} for row, support in zip(S.rows, S.supports))
     whole, image, k_lattice = split_hnf(
-        ((_psi_row(p.mu, c - 1, v, row), row) for row in S.rows),
+        ((_psi_row(images, row), row) for row in rows),
         len(tabloid_module_basis(r_pair.mu)),
         S.ambient,
     )

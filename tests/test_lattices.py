@@ -558,7 +558,7 @@ def test_evaluation_kernel_makes_few_hermite_updates(monkeypatch):
 
     def counting(ambient, rows, pivots):
         nonlocal updates
-        work = [list(r) for r in rows]
+        work = densified(rows, ambient)
         for i, j in enumerate(pivots):
             for k in range(i):
                 q = work[k][j] // work[i][j]
@@ -606,17 +606,18 @@ def test_builder_entries_stay_small():
         seed = [rng.randint(-3, 3) for _ in range(24)]
         for w in itertools.permutations(range(1, 5)):
             builder.add(permute_row(tabloid_action_map((1,) * 4, w), seed))
-    assert max(abs(c).bit_length() for r in builder.rows for c in r) <= 64
+    assert max(abs(c).bit_length() for r in builder.rows for c in r.values()) <= 64
 
 
 # ---------------------------------------------------------------------------
-# reference kernel: the builder's dense loop before it kept row supports
+# reference kernel: the builder's fold on dense rows
 # ---------------------------------------------------------------------------
 
 class DenseBuilder:
-    """The echelon fold as it was before ``LatticeBuilder`` kept supports:
-    the leading entry is searched from column 0 and every step runs over
-    the whole row, so the supported kernel must match it exactly."""
+    """The echelon fold on dense rows, as it was before ``LatticeBuilder``
+    read only nonzero entries: the leading entry is searched from column 0
+    and every step runs over the whole row, so the sparse kernel must match
+    it exactly."""
 
     def __init__(self, ambient):
         self.ambient, self.rows, self.pivots = ambient, [], []
@@ -659,6 +660,21 @@ class DenseBuilder:
                 return True
 
 
+def densified(rows, ambient):
+    """The builder's {column: value} rows as dense lists."""
+    return [[r.get(c, 0) for c in range(ambient)] for r in rows]
+
+
+def assert_sparse_echelon(builder):
+    """Each builder row keeps only nonzero entries, its pivot the least key."""
+    assert all(all(r.values()) and min(r) == j for r, j in zip(builder.rows, builder.pivots))
+
+
+def assert_supports(latt):
+    """The supports a snapshot hands over are the nonzero columns."""
+    assert latt.supports == tuple(tuple(c for c, x in enumerate(r) if x) for r in latt.rows)
+
+
 def dense_hermite(rows, pivots):
     """Back-reduction of echelon rows over every column."""
     rows = [list(r) for r in rows]
@@ -689,13 +705,12 @@ def test_builder_matches_dense_reference(data):
     builder, ref = LatticeBuilder(ambient), DenseBuilder(ambient)
     for row in rows:
         assert builder.add(row) == ref.add(row)
-        assert (builder.rows, builder.pivots) == (ref.rows, ref.pivots)
-        assert builder.supports == [
-            tuple(c for c, x in enumerate(r) if x) for r in builder.rows
-        ]
-        assert builder.reduce(row) == ref.reduce(row)
+        assert (densified(builder.rows, ambient), builder.pivots) == (ref.rows, ref.pivots)
+        assert_sparse_echelon(builder)
+        assert densified([builder.reduce(row)], ambient) == [ref.reduce(row)]
     latt = builder.snapshot()
     assert latt.rows == dense_hermite(ref.rows, ref.pivots)
+    assert_supports(latt)
     ref.rows, ref.pivots = latt.rows, latt.pivots
     for row in rows:
         assert latt.reduce(row) == ref.reduce(row)
@@ -709,14 +724,22 @@ def test_builder_matches_dense_reference(data):
 )
 def test_split_hnf_matches_dense_reference(data):
     ambient, rows, head = data
+    check_split_hnf(ambient, rows, head, [(r[:head], r[head:]) for r in rows])
+
+
+def check_split_hnf(ambient, rows, head, pairs):
+    """``split_hnf`` of ``pairs``, the dense ``rows`` cut at ``head`` in any
+    form, against the dense fold of ``rows``."""
     tail = ambient - head
-    whole, image, relations = split_hnf([(r[:head], r[head:]) for r in rows], head, tail)
+    whole, image, relations = split_hnf(pairs, head, tail)
     ref = DenseBuilder(ambient)
     for row in rows:
         ref.add(row)
     k = bisect_left(ref.pivots, head)
-    assert (whole.rows, whole.pivots) == (ref.rows[:k], ref.pivots[:k])
-    assert whole.supports == [tuple(c for c, x in enumerate(r) if x) for r in whole.rows]
+    assert (densified(whole.rows, ambient), whole.pivots) == (ref.rows[:k], ref.pivots[:k])
+    assert_sparse_echelon(whole)
+    assert_supports(image)
+    assert_supports(relations)
     assert image.rows == dense_hermite([r[:head] for r in ref.rows[:k]], ref.pivots[:k])
     assert relations.rows == dense_hermite(
         [r[head:] for r in ref.rows[k:]], [j - head for j in ref.pivots[k:]]
@@ -726,6 +749,68 @@ def test_split_hnf_matches_dense_reference(data):
         v = ref.reduce([*u, *[0] * tail])
         expected = None if any(v[:head]) else [-c for c in v[head:]]
         assert preimage(whole, u) == expected
+
+
+@st.composite
+def wide_sparse_rows(draw):
+    """Rows of width 200..720 with about 2% nonzeros, as {column: value}
+    dicts: columns come from a small pool so that rows meet at pivots,
+    entries 2, 3, 4, 6 make pivots that do not divide each other, and some
+    rows repeat an earlier row up to sign."""
+    ambient = draw(st.integers(200, 720))
+    k = ambient // 50
+    pool = draw(st.lists(st.integers(0, ambient - 1), min_size=2 * k, max_size=2 * k, unique=True))
+    entry = st.sampled_from((-6, -4, -3, -2, -1, 1, 2, 3, 4, 6))
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        if rows and draw(st.booleans()):
+            sign = draw(st.sampled_from((1, -1)))
+            rows.append({c: sign * x for c, x in draw(st.sampled_from(rows)).items()})
+        else:
+            columns = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=k, unique=True))
+            rows.append({c: draw(entry) for c in columns})
+    return ambient, rows, draw(st.sampled_from(pool))
+
+
+@settings(deadline=None, max_examples=40)
+@given(wide_sparse_rows(), st.booleans())
+def test_wide_sparse_rows_match_dense_reference(data, as_dicts):
+    """Wide, sparse rows, handed over as dicts or dense, fold step for step
+    as in the dense reference; so do their snapshot and ``split_hnf``."""
+    ambient, rows, head = data
+    dense = densified(rows, ambient)
+    builder, ref = LatticeBuilder(ambient), DenseBuilder(ambient)
+    for row, d in zip(rows, dense):
+        assert builder.add(row if as_dicts else d) == ref.add(d)
+        assert (densified(builder.rows, ambient), builder.pivots) == (ref.rows, ref.pivots)
+        assert_sparse_echelon(builder)
+        assert densified([builder.reduce(row)], ambient) == [ref.reduce(d)]
+    latt = builder.snapshot()
+    assert latt.rows == dense_hermite(ref.rows, ref.pivots)
+    assert_supports(latt)
+    if as_dicts:
+        pairs = [
+            ({c: x for c, x in r.items() if c < head},
+             {c - head: x for c, x in r.items() if c >= head})
+            for r in rows
+        ]
+    else:
+        pairs = [(d[:head], d[head:]) for d in dense]
+    check_split_hnf(ambient, dense, head, pairs)
+
+
+def test_add_rejects_columns_outside_the_ambient():
+    """A dict row must keep to columns 0..ambient-1, as a dense row must
+    have length ambient; so must each part of a ``split_hnf`` pair."""
+    builder = LatticeBuilder(3)
+    for row in ({3: 1}, {-1: 1}, {0: 1, 5: 0}, [1, 0], [1, 0, 0, 0]):
+        with pytest.raises(ValueError):
+            builder.add(row)
+    assert builder.rank() == 0
+    with pytest.raises(ValueError):
+        split_hnf([({2: 1}, {0: 1})], 2, 2)
+    with pytest.raises(ValueError):
+        split_hnf([([1, 0, 0], [1])], 2, 2)
 
 
 def spun_rows(ambient, seeds, maps):
@@ -765,7 +850,8 @@ def test_orbit_span_under_non_involutions(n, monkeypatch):
 
     def recording_add(self, row):
         added = add(self, row)
-        calls.append((list(row), added, [list(r) for r in self.rows], list(self.pivots)))
+        dense_row = [row.get(c, 0) for c in range(dim)]
+        calls.append((dense_row, added, densified(self.rows, dim), list(self.pivots)))
         return added
 
     monkeypatch.setattr(LatticeBuilder, "add", recording_add)

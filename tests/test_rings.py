@@ -332,7 +332,7 @@ def reference_error(moduli, table, generators, unit=None, support_masks=None):
         builder.add(g)
     closed = False
     while not closed:
-        rows = [tuple(r) for r in builder.rows]
+        rows = [tuple(r.get(c, 0) for c in range(rank)) for r in builder.rows]
         closed = not any([builder.add(mul(a, b)) for a in rows for b in rows])
     if builder.rank() != rank or any(
         r[j] != 1 for r, j in zip(builder.rows, builder.pivots)

@@ -7,6 +7,7 @@ with class sizes from the cycle-index formula.
 
 import itertools
 import math
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -208,6 +209,24 @@ def test_singleton_tabloid_action_renames_monomials(data):
     assert mapped == f.act(word).to_vector(n)
 
 
+def test_cached_action_maps_share_their_index_ints():
+    """A cached map at n = 7 holds one pointer per tabloid, about 40 KiB:
+    its entries are the shape's shared index ints, not 5,040 new ones
+    (about 230 KiB a map here when each map made its own)."""
+    mu = (1,) * 7
+    words = [w for w in itertools.permutations(range(1, 8)) if w[0] == 7][:4]
+    tabloid_action_map(mu, words[0])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        maps = [tabloid_action_map(mu, w) for w in words[1:]]
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert all(len(m) == 5040 for m in maps)
+    assert grown <= 3 * (5040 * 8 + 4096)
+
+
 # ---------------------------------------------------------------------------
 # psi maps and pair operators
 # ---------------------------------------------------------------------------
@@ -246,8 +265,8 @@ psi_row_cases = st.sampled_from(
 @given(psi_row_cases, st.data())
 def test_psi_row_matches_dense_product(case, data):
     """``_psi_row`` visits only the nonzero source entries; on zero, sparse
-    and dense rows it must equal the row times the dense 0/1 matrix of
-    ``_psi_index_images``."""
+    and dense rows, given as dicts of their nonzero entries, it must equal
+    the row times the dense 0/1 matrix of ``_psi_index_images``."""
     mu, i, v = case
     images = _psi_index_images(mu, i, v)
     width = len(tabloid_module_basis(specht._psi_shape(mu, i, v)))
@@ -261,8 +280,8 @@ def test_psi_row_matches_dense_product(case, data):
         )
     )
     dense = [sum(c * m[t] for c, m in zip(row, matrix)) for t in range(width)]
-    assert _psi_row(mu, i, v, row) == dense
-    assert _psi_row(mu, i, v, tuple(row)) == dense
+    out = _psi_row(images, {c: x for c, x in enumerate(row) if x})
+    assert [out.get(t, 0) for t in range(width)] == dense
 
 
 def test_find_c_frozen():

@@ -38,6 +38,17 @@ specht_lattice(pair((2, 1), (2, 1, 1)))
 summary = tracer.summary()
 assert summary["calls"]["specht.lattice"] == 1, summary
 assert summary["counts"]["lattices.builder_adds"] > adds > 0, summary
+
+# the psi fold hands each [psi(s) | s] to the same counted add, as a dict:
+# once the Specht lattices are cached, one add per row of S
+from pilattice.specht import verify_psi_lemma
+
+p = pair((2, 1), (2, 2))
+assert verify_psi_lemma(p) == (True, True)
+adds = tracer.counts["lattices.builder_adds"]
+verify_psi_lemma(p)
+added = tracer.counts["lattices.builder_adds"] - adds
+assert added == specht_lattice(p).rank > 0, tracer.summary()
 """
 
 
