@@ -7,9 +7,9 @@ with mixed cyclic target moduli come off one fold, and the Smith diagonal
 from alternating folds.  Only ``field_rank``'s mod-p check works apart.
 
 Vectors are rows throughout; a lattice is the row span of a matrix, and a
-map acts on the right (``v @ M``).  Matrices are plain ``list[list[int]]``
-(or tuples of tuples once frozen), and the fold in progress holds each row
-as the {column: value} dict of its nonzero entries -- no floats anywhere.
+map acts on the right (``v @ M``).  Matrices are plain ``list[list[int]]``;
+the fold in progress and the frozen Hermite form both hold each row as the
+{column: value} dict of its nonzero entries -- no floats anywhere.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import compress, islice
+from itertools import compress
 from math import gcd, prod
 from typing import Iterable, Sequence
 
@@ -46,11 +46,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def _support(row: Row, start: int) -> tuple[int, ...]:
-    """Columns of the nonzero entries of ``row`` from ``start`` on."""
-    return tuple(compress(range(start, len(row)), islice(row, start, None)))
-
-
 def _sparse(row: Row | Sparse, ambient: int) -> Sparse:
     """The nonzero entries of a dense row of length ``ambient``, or of a
     {column: value} dict whose columns lie in [0, ambient), as a new dict."""
@@ -68,17 +63,26 @@ def _combine(s: int, a: Sparse, t: int, b: Sparse) -> Sparse:
     return {c: x for c in a.keys() | b.keys() if (x := s * a.get(c, 0) + t * b.get(c, 0))}
 
 
-def _reduce(w: Sparse, echelon: dict[int, Sparse], after: int = -1) -> Sparse:
+def _reduce(
+    w: Sparse, echelon: dict[int, Sparse], after: int = -1, quotients: Sparse | None = None
+) -> Sparse:
     """Reduce ``w`` in place against the rows of ``echelon`` (keyed by their
     pivot columns): at each pivot column right of ``after`` that w holds,
     in increasing order, subtract the floor quotient times its row.  A
     column that w does not hold gives quotient 0, and a row adds only
-    columns right of its pivot, so this is the dense pass over the rows."""
+    columns right of its pivot, so this is the dense pass over the rows.
+
+    The nonzero quotients go into ``quotients``, keyed by pivot.  A later
+    row is zero at an earlier pivot, so that entry ends as the remainder of
+    its division: when nothing remains, every division was exact and the
+    quotients are the coordinates of w over the rows."""
     heap = [c for c in w if c > after and c in echelon]
     heapify(heap)
     while heap:
         j = heappop(heap)
         if j in w and (q := w[j] // (r := echelon[j])[j]):
+            if quotients is not None:
+                quotients[j] = q
             for c, rc in r.items():
                 if c not in w and c in echelon:
                     heappush(heap, c)
@@ -168,29 +172,20 @@ class LatticeBuilder:
 
     def snapshot(self) -> "SubmoduleLattice":
         """Canonical Hermite form of the accumulated lattice."""
-        pivots = self.pivots
-        return _hermite(self.ambient, [self.echelon[j] for j in pivots], pivots)
+        return _hermite(self.ambient, self.echelon)
 
 
-def _hermite(ambient: int, rows: Sequence[Sparse], pivots: Sequence[int]) -> SubmoduleLattice:
-    """Canonical Hermite form of echelon dict ``rows`` with the given pivots.
+def _hermite(ambient: int, echelon: dict[int, Sparse]) -> SubmoduleLattice:
+    """Canonical Hermite form of the echelon rows ``echelon`` (keyed by
+    their pivots), which are left as they are.
 
     Entries above each pivot are reduced into [0, pivot).  The dense form
     reduces, for each pivot in increasing order, every earlier row against
     it; so row k is changed only by the rows i > k, in increasing i, while
-    those are still unreduced, and is reduced here on its own against them.
-    Each row is written out dense once, with the support known here."""
-    echelon = dict(zip(pivots, rows))
-    rows = [_reduce(dict(w), echelon, j) for j, w in zip(pivots, rows)]
-    dense = []
-    for w in rows:
-        d = [0] * ambient
-        for c, x in w.items():
-            d[c] = x
-        dense.append(tuple(d))
-    latt = SubmoduleLattice(ambient, tuple(dense), tuple(pivots))
-    latt.__dict__["supports"] = tuple(tuple(sorted(w)) for w in rows)  # the cached_property
-    return latt
+    those are still unreduced, and is reduced here on its own against them."""
+    return SubmoduleLattice(
+        ambient, {j: _reduce(dict(echelon[j]), echelon, j) for j in sorted(echelon)}
+    )
 
 
 def hnf(rows: Iterable[Row], ambient: int | None = None) -> tuple[tuple[int, ...], ...]:
@@ -216,45 +211,49 @@ def hnf(rows: Iterable[Row], ambient: int | None = None) -> tuple[tuple[int, ...
 
 @dataclass(frozen=True)
 class SubmoduleLattice:
-    """A sublattice of Z^ambient, stored as its canonical row HNF; row i
-    acts only on ``supports[i]``, its nonzero columns."""
+    """A sublattice of Z^ambient, stored as its canonical row HNF:
+    ``echelon`` maps each pivot column, in increasing order, to the
+    {column: value} dict of its Hermite row's nonzero entries.  Equal
+    lattices compare equal.  ``rows`` writes the basis out dense on first
+    use."""
 
     ambient: int
-    rows: tuple[tuple[int, ...], ...]
-    pivots: tuple[int, ...]
+    echelon: dict[int, Sparse]
 
     @classmethod
-    def from_rows(cls, ambient: int, rows: Iterable[Row]) -> "SubmoduleLattice":
+    def from_rows(cls, ambient: int, rows: Iterable[Row | Sparse]) -> "SubmoduleLattice":
         return LatticeBuilder(ambient, rows).snapshot()
 
     @classmethod
     def zero(cls, ambient: int) -> "SubmoduleLattice":
-        return cls(ambient, (), ())
+        return cls(ambient, {})
 
     @classmethod
     def full(cls, ambient: int) -> "SubmoduleLattice":
-        eye = tuple(tuple(int(i == j) for j in range(ambient)) for i in range(ambient))
-        return cls(ambient, eye, tuple(range(ambient)))
+        return cls(ambient, {j: {j: 1} for j in range(ambient)})
+
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        return tuple(self.echelon)
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.echelon)
 
     @cached_property
-    def supports(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(_support, self.rows, self.pivots))
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The Hermite rows as dense tuples, in pivot order."""
+        dense = []
+        for w in self.echelon.values():
+            d = [0] * self.ambient
+            for c, x in w.items():
+                d[c] = x
+            dense.append(tuple(d))
+        return tuple(dense)
 
-    def reduce(self, row: Row) -> list[int]:
-        """Remainder of ``row`` after reduction against the basis."""
-        v = list(row)
-        for r, j, support in zip(self.rows, self.pivots, self.supports):
-            if q := v[j] // r[j]:
-                for c in support:
-                    v[c] -= q * r[c]
-        return v
-
-    def contains(self, row: Row) -> bool:
-        return not any(self.reduce(row))
+    # the builder's own: both read only ``ambient`` and ``echelon``
+    reduce = LatticeBuilder.reduce
+    contains = LatticeBuilder.contains
 
     def is_saturated(self) -> bool:
         """True iff Z^ambient / self is torsion-free.
@@ -263,46 +262,41 @@ class SubmoduleLattice:
         settles it; otherwise fall back to the Smith invariant factors
         (pivots > 1 do not by themselves rule saturation out, e.g. the
         span of (2, 1))."""
-        if all(r[p] == 1 for r, p in zip(self.rows, self.pivots)):
+        if all(w[j] == 1 for j, w in self.echelon.items()):
             return True
-        return all(d == 1 for d in smith_normal_form(self.rows, self.ambient))
+        return all(d == 1 for d in smith_normal_form([*self.echelon.values()], self.ambient))
 
     def contains_lattice(self, other: "SubmoduleLattice") -> bool:
-        return all(self.contains(r) for r in other.rows)
+        return all(map(self.contains, other.echelon.values()))
 
-    def coordinates_of(self, row: Row) -> list[int] | None:
-        """Coefficients c with ``row = sum c_i * rows[i]``, or None.  Row i
-        acts only on its support, as in ``reduce``."""
-        v = list(row)
-        coords = []
-        for r, p, support in zip(self.rows, self.pivots, self.supports):
-            q, rem = divmod(v[p], r[p])
-            if rem:
-                return None
-            coords.append(q)
-            if q:
-                for c in support:
-                    v[c] -= q * r[c]
-        return coords if not any(v) else None
+    def coordinates_of(self, row: Row | Sparse) -> list[int] | None:
+        """Coefficients c with ``row = sum c_i * rows[i]``, or None: the
+        quotients of ``reduce``, exact when nothing remains."""
+        quotients: Sparse = {}
+        if _reduce(_sparse(row, self.ambient), self.echelon, quotients=quotients):
+            return None
+        return [quotients.get(j, 0) for j in self.echelon]
 
     def sum_with(self, other: "SubmoduleLattice") -> "SubmoduleLattice":
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
-        return SubmoduleLattice.from_rows(self.ambient, list(self.rows) + list(other.rows))
+        return SubmoduleLattice.from_rows(
+            self.ambient, [*self.echelon.values(), *other.echelon.values()]
+        )
 
     def intersect(self, other: "SubmoduleLattice") -> "SubmoduleLattice":
         """Intersection: the tails a of the relations between the rows
         [a | a] of self and [b | 0] of other, where a + b = 0."""
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
-        zero = (0,) * self.ambient
-        pairs = [*((a, a) for a in self.rows), *((b, zero) for b in other.rows)]
+        a, b = self.echelon.values(), other.echelon.values()
+        pairs = [*((r, r) for r in a), *((r, {}) for r in b)]
         return split_hnf(pairs, self.ambient, self.ambient)[2]
 
     def quotient_invariants(self, inner: "SubmoduleLattice") -> "AbelianInvariants":
         """Invariants of self/inner; raises if inner is not contained."""
         rel = []
-        for row in inner.rows:
+        for row in inner.echelon.values():
             coords = self.coordinates_of(row)
             if coords is None:
                 raise ValueError("inner lattice is not contained in outer lattice")
@@ -311,13 +305,14 @@ class SubmoduleLattice:
 
     def action_trace(self, action_map: Row) -> int:
         """Trace on this lattice of the coordinate permutation ``action_map``
-        (as in ``permute_row``), which must preserve it (checked)."""
+        (as in ``permute_row``), which must preserve it (checked): the sum
+        over the rows of the image's coordinate at the row's own pivot."""
         tr = 0
-        for i, row in enumerate(self.rows):
-            coords = self.coordinates_of(permute_row(action_map, row))
-            if coords is None:
+        for j, w in self.echelon.items():
+            quotients: Sparse = {}
+            if _reduce({action_map[c]: x for c, x in w.items()}, self.echelon, quotients=quotients):
                 raise ValueError("map does not preserve the lattice")
-            tr += coords[i]
+            tr += quotients.get(j, 0)
         return tr
 
 
@@ -331,7 +326,7 @@ def permute_row(action_map: Sequence[int], row: Row) -> list[int]:
 
 
 def orbit_span(
-    ambient: int, seeds: Iterable[Row], maps: Sequence[Row], stable: Iterable[Row] = ()
+    ambient: int, seeds: Iterable[Row], maps: Sequence[Row], stable: Iterable[Row | Sparse] = ()
 ) -> SubmoduleLattice:
     """Hermite form of the span of ``stable`` and of the orbits of the
     ``seeds`` under the group generated by the coordinate permutations
@@ -411,10 +406,9 @@ def split_hnf(
     echelon, pivots = whole.echelon, whole.pivots
     k = bisect_left(pivots, head)
     # a row whose pivot lies in the tail has a zero head; move it out
-    moved = [{c - head: x for c, x in echelon.pop(j).items()} for j in pivots[k:]]
-    relations = _hermite(tail, moved, [j - head for j in pivots[k:]])
-    heads = [{c: x for c, x in echelon[j].items() if c < head} for j in pivots[:k]]
-    return whole, _hermite(head, heads, pivots[:k]), relations
+    moved = {j - head: {c - head: x for c, x in echelon.pop(j).items()} for j in pivots[k:]}
+    heads = {j: {c: x for c, x in echelon[j].items() if c < head} for j in pivots[:k]}
+    return whole, _hermite(head, heads), _hermite(tail, moved)
 
 
 def preimage(whole: LatticeBuilder, u: Row) -> list[int] | None:
@@ -435,7 +429,7 @@ def kernel_basis(rows: Sequence[Row], ambient: int) -> list[list[int]]:
     return [list(r) for r in evaluation_kernel([(r, 0) for r in rows], ambient).rows]
 
 
-def smith_normal_form(rows: Sequence[Row], ambient: int) -> list[int]:
+def smith_normal_form(rows: Sequence[Row | Sparse], ambient: int) -> list[int]:
     """Diagonal of the Smith normal form: d_1 | d_2 | ... | d_r, all > 0.
 
     ``rows`` are relations in Z^ambient; only the nonzero diagonal is
@@ -452,9 +446,9 @@ def smith_normal_form(rows: Sequence[Row], ambient: int) -> list[int]:
     h = LatticeBuilder(ambient, rows).snapshot()
     # terminates: each round's first pivot divides the last one, so it
     # settles, and then its row and column clear and the minor follows
-    while any(sum(map(bool, r)) > 1 for r in h.rows):
+    while any(len(w) > 1 for w in h.echelon.values()):
         h = LatticeBuilder(h.rank, zip(*h.rows)).snapshot()
-    diag = [r[p] for r, p in zip(h.rows, h.pivots)]
+    diag = [w[j] for j, w in h.echelon.items()]
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
             g = gcd(diag[i], diag[j])
@@ -649,14 +643,13 @@ def _evaluation_fold(rows: Iterable[tuple[Row, int]], columns: int, tail: int) -
     relations, and the Hermite form has no dense triangle to back-reduce."""
     functionals = _clean_rows(rows)
     r = len(functionals)
-    at = tuple(k for k, (_, m) in enumerate(functionals) if m)
-    d_rows = tuple(tuple(functionals[k][1] * (i == k) for i in range(r)) for k in at)
+    moduli = {k: {k: m} for k, (_, m) in enumerate(functionals) if m}
     order = range(columns - 1, -1, -1)
     heads = ([v[j] for v, _ in functionals] for j in order)
     units = ([int(i == j) for i in range(tail)] for j in order)
-    pairs = [*zip(heads, units), *((d, [0] * tail) for d in d_rows)]
+    pairs = [*zip(heads, units), *((d, {}) for d in moduli.values())]
     _, image, relations = split_hnf(pairs, r, tail)
-    return SubmoduleLattice(r, d_rows, at), image, relations
+    return SubmoduleLattice(r, moduli), image, relations
 
 
 def image_invariants(rows: Iterable[tuple[Row, int]], columns: int) -> AbelianInvariants:

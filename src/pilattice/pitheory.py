@@ -373,8 +373,8 @@ def _proper_character(model: RingModel, t: int) -> tuple[int, ...]:
     basis = proper_basis(t)
     columns = list(zip(*basis.matrix))
     carried = (
-        [sum(a * b for a, b in zip(c, col)) for col in columns]
-        for c in _kernel(model, t, True).rows
+        [sum(x * col[k] for k, x in c.items()) for col in columns]
+        for c in _kernel(model, t, True).echelon.values()
     )
     kernel = SubmoduleLattice.from_rows(len(columns), carried)
     return rational_character(basis.lattice, kernel, (1,) * t)
@@ -671,7 +671,7 @@ def _drensky(model: RingModel, n: int) -> DrenskyReport:
             _placed(n, MultilinearPoly.from_vector(row, t), n - t, (1,) * t)
             for row in proper_basis(t).matrix
         ]
-        levels[t] = orbit_span(dim, seeds, maps, stable=levels[t + 1].rows)
+        levels[t] = orbit_span(dim, seeds, maps, stable=levels[t + 1].echelon.values())
     head = SubmoduleLattice.full(dim).quotient_invariants(levels[2])
     head_expected = cyclic_invariants(model.characteristic())
     factors = []

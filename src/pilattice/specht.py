@@ -574,9 +574,8 @@ def _psi_split(p: PartitionPair):
     S = specht_lattice(p)
     r_pair, a_pair = op_R(c, p), op_A(c, p)
     images = _psi_index_images(p.mu, c - 1, v)
-    rows = ({j: row[j] for j in support} for row, support in zip(S.rows, S.supports))
     whole, image, k_lattice = split_hnf(
-        ((_psi_row(images, row), row) for row in rows),
+        ((_psi_row(images, row), row) for row in S.echelon.values()),
         len(tabloid_module_basis(r_pair.mu)),
         S.ambient,
     )
@@ -593,8 +592,8 @@ def _lift_rows(whole: LatticeBuilder, target: SubmoduleLattice) -> list[list[int
     """Rows of the source whose psi images span ``target`` -- one preimage
     per basis row of ``target``."""
     out = []
-    for u in target.rows:
-        row = preimage(whole, u)
+    for w in target.echelon.values():
+        row = preimage(whole, [w.get(c, 0) for c in range(target.ambient)])
         if row is None:
             raise RuntimeError("filtration lift failed: image lattice mismatch")
         out.append(row)
@@ -628,8 +627,7 @@ def specht_series(p: PartitionPair) -> FiltrationReport:
     r_report = specht_series(r_pair)
     chain: list[SubmoduleLattice] = [S]
     for deeper in r_report.chain[1:]:
-        rows = [list(r) for r in k_lattice.rows]
-        rows.extend(_lift_rows(whole, deeper))
+        rows = [*k_lattice.echelon.values(), *_lift_rows(whole, deeper)]
         chain.append(SubmoduleLattice.from_rows(dim, rows))
     labels = list(r_report.factor_labels)
     if a_pair.is_zero:
@@ -712,7 +710,7 @@ def induce_mod(lam: Partition, n: int, m: int) -> FiltrationReport:
         return series
     S = series.chain[0]
     scaled = SubmoduleLattice.from_rows(
-        S.ambient, [[m * c for c in row] for row in S.rows]
+        S.ambient, [{c: m * x for c, x in w.items()} for w in S.echelon.values()]
     )
     mod_chain = tuple(latt.sum_with(scaled) for latt in series.chain)
     factors = []

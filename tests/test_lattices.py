@@ -37,7 +37,14 @@ from pilattice.lattices import (
     xgcd,
 )
 from pilattice.rings import cyclic_ring
-from pilattice.specht import adjacent_transpositions, tabloid_action_map
+from pilattice.specht import (
+    adjacent_transpositions,
+    class_representative,
+    conjugacy_class_reps,
+    partitions,
+    tabloid_action_map,
+    tabloid_module_basis,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -556,16 +563,17 @@ def test_evaluation_kernel_makes_few_hermite_updates(monkeypatch):
     original = lattices._hermite
     updates = 0
 
-    def counting(ambient, rows, pivots):
+    def counting(ambient, echelon):
         nonlocal updates
-        work = densified(rows, ambient)
+        pivots = sorted(echelon)
+        work = densified([echelon[j] for j in pivots], ambient)
         for i, j in enumerate(pivots):
             for k in range(i):
                 q = work[k][j] // work[i][j]
                 if q:
                     work[k] = [a - q * b for a, b in zip(work[k], work[i])]
                     updates += 1
-        return original(ambient, rows, pivots)
+        return original(ambient, echelon)
 
     monkeypatch.setattr(lattices, "_hermite", counting)
     kernel = evaluation_kernel(pitheory._rows(cyclic_ring(6), 5, False), 120)
@@ -665,14 +673,13 @@ def densified(rows, ambient):
     return [[r.get(c, 0) for c in range(ambient)] for r in rows]
 
 
-def assert_sparse_echelon(builder):
-    """Each builder row keeps only nonzero entries, its pivot the least key."""
-    assert all(all(r.values()) and min(r) == j for r, j in zip(builder.rows, builder.pivots))
-
-
-def assert_supports(latt):
-    """The supports a snapshot hands over are the nonzero columns."""
-    assert latt.supports == tuple(tuple(c for c, x in enumerate(r) if x) for r in latt.rows)
+def assert_sparse_echelon(form):
+    """A builder's or a frozen lattice's echelon: the pivots strictly
+    increase, and each row keeps only nonzero entries, its pivot the least
+    key."""
+    pivots = list(form.pivots)
+    assert all(a < b for a, b in zip(pivots, pivots[1:]))
+    assert all(all(r.values()) and min(r) == j for j, r in form.echelon.items())
 
 
 def dense_hermite(rows, pivots):
@@ -710,10 +717,10 @@ def test_builder_matches_dense_reference(data):
         assert densified([builder.reduce(row)], ambient) == [ref.reduce(row)]
     latt = builder.snapshot()
     assert latt.rows == dense_hermite(ref.rows, ref.pivots)
-    assert_supports(latt)
+    assert_sparse_echelon(latt)
     ref.rows, ref.pivots = latt.rows, latt.pivots
     for row in rows:
-        assert latt.reduce(row) == ref.reduce(row)
+        assert densified([latt.reduce(row)], ambient) == [ref.reduce(row)]
 
 
 @settings(deadline=None)
@@ -738,8 +745,8 @@ def check_split_hnf(ambient, rows, head, pairs):
     k = bisect_left(ref.pivots, head)
     assert (densified(whole.rows, ambient), whole.pivots) == (ref.rows[:k], ref.pivots[:k])
     assert_sparse_echelon(whole)
-    assert_supports(image)
-    assert_supports(relations)
+    assert_sparse_echelon(image)
+    assert_sparse_echelon(relations)
     assert image.rows == dense_hermite([r[:head] for r in ref.rows[:k]], ref.pivots[:k])
     assert relations.rows == dense_hermite(
         [r[head:] for r in ref.rows[k:]], [j - head for j in ref.pivots[k:]]
@@ -787,7 +794,7 @@ def test_wide_sparse_rows_match_dense_reference(data, as_dicts):
         assert densified([builder.reduce(row)], ambient) == [ref.reduce(d)]
     latt = builder.snapshot()
     assert latt.rows == dense_hermite(ref.rows, ref.pivots)
-    assert_supports(latt)
+    assert_sparse_echelon(latt)
     if as_dicts:
         pairs = [
             ({c: x for c, x in r.items() if c < head},
@@ -896,7 +903,8 @@ def dense_coordinates_of(latt, row):
 def test_coordinates_match_dense_reference(data):
     """Members, members plus a unit at a pivot (a remainder where the pivot
     exceeds 1) or off the pivots (a nonzero remainder), and the fold's own
-    rows get the dense reference's coordinates, or None where it has none."""
+    rows get the dense reference's coordinates, or None where it has none,
+    handed over dense or as {column: value} dicts."""
     ambient, rows, combos, columns = data
     latt = SubmoduleLattice.from_rows(ambient, rows)
     members = [
@@ -911,8 +919,69 @@ def test_coordinates_match_dense_reference(data):
     for row in [*members, *shifted, *rows]:
         expected = dense_coordinates_of(latt, row)
         assert latt.coordinates_of(row) == expected
+        assert latt.coordinates_of({c: x for c, x in enumerate(row) if x}) == expected
+        assert latt.contains({c: x for c, x in enumerate(row) if x}) == (expected is not None)
     for m in members:
         assert latt.coordinates_of(m) is not None
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_action_trace_matches_dense_reference(data):
+    """On S_n-stable lattices in M(mu), n = 3, 4, the trace of each class
+    representative is the sum over the rows of the dense reference's
+    coordinate of the row's image at that row."""
+    n = data.draw(st.sampled_from((3, 4)))
+    mu = data.draw(st.sampled_from(partitions(n)))
+    dim = len(tabloid_module_basis(mu))
+    dense = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    sparse = st.lists(st.sampled_from((0,) * 6 + (-1, 1, 2)), min_size=dim, max_size=dim)
+    seeds = data.draw(st.lists(st.one_of(dense, sparse), min_size=1, max_size=2))
+    maps = [tabloid_action_map(mu, w) for w in adjacent_transpositions(n)]
+    latt = orbit_span(dim, seeds, maps)
+    for _, word in conjugacy_class_reps(n):
+        m = tabloid_action_map(mu, word)
+        expected = sum(
+            dense_coordinates_of(latt, permute_row(m, row))[i] for i, row in enumerate(latt.rows)
+        )
+        assert latt.action_trace(m) == expected
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_action_trace_rejects_a_map_that_moves_the_lattice(n):
+    """The n-cycle moves the first (1^n)-tabloid, so it does not preserve
+    the line through it."""
+    dim = math.factorial(n)
+    line = SubmoduleLattice.from_rows(dim, [[1] + [0] * (dim - 1)])
+    with pytest.raises(ValueError):
+        line.action_trace(tabloid_action_map((1,) * n, class_representative((n,))))
+
+
+@settings(deadline=None)
+@given(
+    st.integers(0, 8),
+    st.lists(
+        st.tuples(st.lists(st.integers(-4, 4), min_size=3, max_size=3), st.integers(0, 6)),
+        max_size=8,
+    ),
+)
+def test_direct_constructors_give_the_canonical_form(k, functionals):
+    """``full``, ``zero`` and the moduli lattice of ``_evaluation_fold``
+    write their echelon without a fold; each must be the Hermite form that
+    a fold gives, a sparse echelon, with ``rows`` its dense form."""
+    cleaned = _clean_rows(functionals)
+    r = len(cleaned)
+    moduli_rows = [[m * (i == j) for i in range(r)] for j, (_, m) in enumerate(cleaned) if m]
+    unit_rows = [[int(i == j) for i in range(k)] for j in range(k)]
+    for direct, folded in [
+        (SubmoduleLattice.full(k), SubmoduleLattice.from_rows(k, unit_rows)),
+        (SubmoduleLattice.zero(k), SubmoduleLattice.from_rows(k, [])),
+        (_evaluation_fold(functionals, 3, 0)[0], SubmoduleLattice.from_rows(r, moduli_rows)),
+    ]:
+        assert direct == folded
+        for latt in (direct, folded):
+            assert_sparse_echelon(latt)
+            assert latt.rows == tuple(map(tuple, densified(latt.echelon.values(), latt.ambient)))
 
 
 def unimodular(size, ops):

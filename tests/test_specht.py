@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from pilattice import lattices, specht
 from pilattice.specht import (
     ZERO_PAIR,
+    PartitionPair,
     _psi_index_images,
     _psi_row,
     canonical_tableau,
@@ -225,6 +226,24 @@ def test_cached_action_maps_share_their_index_ints():
         tracemalloc.stop()
     assert all(len(m) == 5040 for m in maps)
     assert grown <= 3 * (5040 * 8 + 4096)
+
+
+def test_frozen_lattice_holds_its_sparse_echelon():
+    """S((1,1); 1^6) has width 720 and rank 360, and its Hermite rows two
+    nonzeros each: the frozen form holds their dicts, about 104 KiB, where
+    dense rows took about 2 MiB (5.8 KiB a row).  The maps are cached by
+    the first build, so the rebuild holds only the lattice."""
+    p = PartitionPair((1, 1), (1,) * 6)
+    first = specht_lattice(p)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        latt = specht_lattice.__wrapped__(p)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert (latt.ambient, latt.rank) == (720, 360) and latt == first
+    assert grown <= 360 * 512
 
 
 # ---------------------------------------------------------------------------
