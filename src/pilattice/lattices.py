@@ -304,9 +304,10 @@ class SubmoduleLattice:
         return cokernel_invariants(rel, self.rank)
 
     def action_trace(self, action_map: Row) -> int:
-        """Trace on this lattice of the coordinate permutation ``action_map``
-        (as in ``permute_row``), which must preserve it (checked): the sum
-        over the rows of the image's coordinate at the row's own pivot."""
+        """Trace on this lattice of the coordinate permutation ``action_map``,
+        under which coordinate i moves to ``action_map[i]``; the map must
+        preserve the lattice (checked).  The trace is the sum over the rows
+        of the image's coordinate at the row's own pivot."""
         tr = 0
         for j, w in self.echelon.items():
             quotients: Sparse = {}
@@ -314,15 +315,6 @@ class SubmoduleLattice:
                 raise ValueError("map does not preserve the lattice")
             tr += quotients.get(j, 0)
         return tr
-
-
-def permute_row(action_map: Sequence[int], row: Row) -> list[int]:
-    """The row with coordinate i moved to coordinate ``action_map[i]``."""
-    out = [0] * len(row)
-    for i, c in enumerate(row):
-        if c:
-            out[action_map[i]] = c
-    return out
 
 
 def orbit_span(
@@ -411,13 +403,19 @@ def split_hnf(
     return whole, _hermite(head, heads), _hermite(tail, moved)
 
 
-def preimage(whole: LatticeBuilder, u: Row) -> list[int] | None:
+def preimage(whole: LatticeBuilder, u: Row | Sparse, head: int | None = None) -> list[int] | None:
     """A tail t with [u | t] in the fold ``whole`` of ``split_hnf``, or None
-    when u is not in its image."""
-    v = _reduce(_sparse(u, len(u)), whole.echelon)
-    if v and min(v) < len(u):
+    when u is not in its image.  ``u`` is a dense row of the head width
+    ``head`` (by default its length) or a {column: value} dict, which needs
+    ``head``."""
+    if head is None:
+        if isinstance(u, dict):
+            raise TypeError("a {column: value} row needs the head width")
+        head = len(u)
+    v = _reduce(_sparse(u, head), whole.echelon)
+    if v and min(v) < head:
         return None
-    return [-v.get(c, 0) for c in range(len(u), whole.ambient)]
+    return [-v.get(c, 0) for c in range(head, whole.ambient)]
 
 
 def kernel_basis(rows: Sequence[Row], ambient: int) -> list[list[int]]:

@@ -138,59 +138,78 @@ def evaluation_functionals(model: RingModel, n: int) -> list[Functional]:
     tuple ``rep`` satisfies ``tup[i] = rep[pos[i] - 1]``, the monomial w
     takes on ``tup`` the value that pos∘w takes on ``rep``, so the rows of
     ``tup`` are those of ``rep`` with columns moved by
-    ``tabloid_action_map((1,) * n, pos)``.
+    ``tabloid_action_map((1,) * n, pos)``.  They depend only on ``pos`` and
+    the pattern of ``rep``, the set of its sign-normalised rows, so tuples
+    whose representatives share the pattern and the runs of repeated
+    generators (which fix the possible ``pos``) are grouped, and the rows
+    of each (group, pos) are built once: at any later tuple they are all
+    repeats, and a group that has met every ``pos`` skips its tuples.  The
+    products come from a memo of the ordered generator prefixes shorter
+    than n, shared by all representatives and freed with the call.
     """
-    order = monomial_order(n)
     gens = [{k: c for k, c in enumerate(g) if c} for g in model.generators]
     mul = model.mul_sparse
     moduli = model.moduli
     out: list[Functional] = []
     seen_rows: set[Functional] = set()
-    # representative -> {coordinate: its values on the words of ``order``}
-    bases: dict[Row, dict[int, list[int]]] = {}
+    # ordered generator prefix shorter than n -> its product.  Equal
+    # products share one dict, which nothing mutates: the 4,096 prefixes of
+    # length 3 of grassmann(3, 6) have 121 distinct products.
+    prefixes: dict[Row, dict[int, int]] = {(i,): g for i, g in enumerate(gens)}
+    shared: dict[frozenset[tuple[int, int]], dict[int, int]] = {}
+    # representative -> (its sign-normalised rows in coordinate order, the
+    # maps ``pos`` built in its group, how many maps its runs allow)
+    reps: dict[Row, tuple[list[Functional], set[Row], int]] = {}
+    groups: dict[tuple[frozenset[Functional], Row], set[Row]] = {}
+
+    def product(word: Row) -> dict[int, int]:
+        value = prefixes.get(word)
+        if value is None:
+            left = product(word[:-1])
+            value = mul(left, gens[word[-1]]) if left else {}
+            if len(word) < n:
+                value = prefixes[word] = shared.setdefault(frozenset(value.items()), value)
+        return value
+
     for tup in generator_tuples(model, n):
-        argsort = sorted(range(n), key=tup.__getitem__)
-        rep = tuple(tup[i] for i in argsort)
-        base = bases.get(rep)
-        if base is None:
-            elems = [gens[i] for i in rep]
-            # consecutive words in lex order share prefixes, so keep a stack
-            # of partial products and rebuild only the changed suffix
-            prev: Row = ()
-            stack: list[dict[int, int]] = []
-            values: list[dict[int, int]] = []
-            for word in order:
-                keep = 0
-                while keep < len(prev) and prev[keep] == word[keep]:
-                    keep += 1
-                del stack[keep:]
-                while len(stack) < n:
-                    factor = elems[word[len(stack)] - 1]
-                    stack.append(factor if not stack else mul(stack[-1], factor))
-                values.append(stack[-1])
-                prev = word
-            base = bases[rep] = {
-                k: [val.get(k, 0) for val in values]
+        rep = tuple(sorted(tup))
+        entry = reps.get(rep)
+        if entry is None:
+            # the orderings rep∘w for the words w of monomial_order(n), in order
+            values = [product(word) for word in itertools.permutations(rep)]
+            rows = [
+                (_signed([val.get(k, 0) for val in values]), moduli[k])
                 for k in sorted(set().union(*values))
-            }
-        pos = [0] * n
-        for r, i in enumerate(argsort, 1):
-            pos[i] = r
-        columns = tabloid_action_map((1,) * n, tuple(pos))
-        for k, values_k in base.items():
-            row = [values_k[j] for j in columns]
-            for x in row:
-                if x:
-                    if x < 0:
-                        row = [-y for y in row]
-                    break
-            else:
-                continue
-            entry = (tuple(row), moduli[k])
-            if entry not in seen_rows:
-                seen_rows.add(entry)
-                out.append(entry)
+            ]
+            runs = tuple(len(list(run)) for _, run in itertools.groupby(rep))
+            done = groups.setdefault((frozenset(rows), runs), set())
+            total = math.factorial(n) // math.prod(map(math.factorial, runs))
+            entry = reps[rep] = (rows, done, total)
+        rows, done, total = entry
+        if len(done) == total:
+            continue
+        ranks = [0] * n
+        for r, i in enumerate(sorted(range(n), key=tup.__getitem__), 1):
+            ranks[i] = r
+        pos = tuple(ranks)
+        if pos in done:
+            continue
+        done.add(pos)
+        columns = tabloid_action_map((1,) * n, pos)
+        for row, m in rows:
+            functional = (_signed([row[j] for j in columns]), m)
+            if functional not in seen_rows:
+                seen_rows.add(functional)
+                out.append(functional)
     return out
+
+
+def _signed(row: Sequence[int]) -> Row:
+    """The row up to sign: its first nonzero entry positive."""
+    for x in row:
+        if x:
+            return tuple(row) if x > 0 else tuple([-y for y in row])
+    return tuple(row)
 
 
 def _columns(n: int, proper: bool) -> int:

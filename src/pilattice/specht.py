@@ -239,7 +239,8 @@ def _transposition_maps(mu: Composition) -> list[tuple[int, ...]]:
 @lru_cache(maxsize=None)
 def tabloid_action_map(mu: Composition, word: PermWord) -> tuple[int, ...]:
     """Index permutation of the action of a one-line permutation word: the
-    word moves tabloid i to tabloid ``map[i]`` (see ``permute_row``).
+    word moves tabloid i to tabloid ``map[i]``, so coordinate i of a row
+    moves to coordinate ``map[i]``.
 
     The (1^n)-tabloids, read as words, are the monomials of
     ``monomial_order(n)`` in the same order, so for mu = (1^n) this is the
@@ -593,7 +594,7 @@ def _lift_rows(whole: LatticeBuilder, target: SubmoduleLattice) -> list[list[int
     per basis row of ``target``."""
     out = []
     for w in target.echelon.values():
-        row = preimage(whole, [w.get(c, 0) for c in range(target.ambient)])
+        row = preimage(whole, w, target.ambient)
         if row is None:
             raise RuntimeError("filtration lift failed: image lattice mismatch")
         out.append(row)

@@ -30,7 +30,6 @@ from pilattice.lattices import (
     json_sanitize,
     kernel_basis,
     orbit_span,
-    permute_row,
     preimage,
     smith_normal_form,
     split_hnf,
@@ -45,6 +44,8 @@ from pilattice.specht import (
     tabloid_action_map,
     tabloid_module_basis,
 )
+
+from dense_reference import permute_row
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +290,26 @@ def test_split_hnf_preimage():
     assert preimage(whole, [4, 3, 2]) == [2, 1]
     assert preimage(whole, [1, 0, 0]) is None
     assert image.rank == 2
+
+
+def test_preimage_takes_sparse_rows():
+    rows = [[2, 0, 1], [0, 3, 0]]
+    unit = [[1, 0], [0, 1]]
+    whole, _, _ = split_hnf(zip(rows, unit), 3, 2)
+    assert preimage(whole, {0: 4, 1: 3, 2: 2}, 3) == [2, 1]
+    assert preimage(whole, {1: 3}, 3) == [0, 1]
+    assert preimage(whole, {0: 1}, 3) is None
+    assert preimage(whole, {}, 3) == [0, 0]
+    assert preimage(whole, [4, 3, 2], 3) == [2, 1]
+    row = {0: 4, 1: 3, 2: 2}
+    preimage(whole, row, 3)
+    assert row == {0: 4, 1: 3, 2: 2}
+    with pytest.raises(TypeError):
+        preimage(whole, {0: 4})
+    with pytest.raises(ValueError):
+        preimage(whole, {3: 1}, 3)
+    with pytest.raises(ValueError):
+        preimage(whole, [4, 3], 3)
 
 
 def test_split_hnf_relations():
@@ -756,6 +777,7 @@ def check_split_hnf(ambient, rows, head, pairs):
         v = ref.reduce([*u, *[0] * tail])
         expected = None if any(v[:head]) else [-c for c in v[head:]]
         assert preimage(whole, u) == expected
+        assert preimage(whole, {c: x for c, x in enumerate(u) if x}, head) == expected
 
 
 @st.composite

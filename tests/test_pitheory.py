@@ -1,17 +1,18 @@
 """Evaluation functionals, codimension groups, identity lattices, and the
 registered verification claims on the built-in ring families."""
 
+import hashlib
 import itertools
 import math
 import random
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pilattice import pitheory
 from pilattice.lattices import (
     AbelianInvariants, SubmoduleLattice, evaluation_kernel, image_invariants,
-    permute_row,
 )
 from pilattice.multilinear import (
     MultilinearPoly, bracket_poly, monomial_order, proper_basis,
@@ -51,6 +52,7 @@ from pilattice.rings import (
 from pilattice.specht import (
     conjugacy_class_reps, specht_character, tabloid_action_map,
 )
+from dense_reference import permute_row
 from test_lattices import assert_torsion_counts, brute_image
 
 
@@ -238,9 +240,42 @@ def repeated_generator_ring():
     )
 
 
+def twin_e22_ring():
+    """ut2(2, 2) with e22 declared before e11 and again after it.
+    Multisets that differ only in which copy of e22 they hold give the same
+    rows, but can differ in their runs of repeated generators (one copy
+    twice, or each copy once), and so in the position maps their tuples
+    can have.  At n = 4, a group key without the runs calls a group
+    complete before every map of its tuples is built."""
+    base = ut2(2, 2)
+    return RingModel(
+        label="ut2-twin-e22",
+        moduli=base.moduli,
+        table=base.table,
+        generators=(base.generators[1],) + base.generators,
+        unit=base.unit,
+    )
+
+
+def nilpotent_ring():
+    """Generators e0..e3 whose only nonzero products are e0e3 = f1,
+    e1e2 = f2 and e2e3 = e3e2 = f3.  The multisets {0, 3} and {1, 2} give
+    the same rows, so at n = 2 the tuple (2, 1) must emit (0, 1) before
+    (2, 3) emits (1, 1): skipping every ordering of {1, 2} because its
+    sorted tuple repeats the rows of {0, 3} would swap them."""
+    return RingModel(
+        label="nilpotent",
+        moduli=(0,) * 7,
+        table={(0, 3): ((4, 1),), (1, 2): ((5, 1),), (2, 3): ((6, 1),), (3, 2): ((6, 1),)},
+        generators=tuple(tuple(int(i == k) for i in range(7)) for k in range(4)),
+        basis_names=("e0", "e1", "e2", "e3", "f1", "f2", "f3"),
+    )
+
+
 ORDINARY_ORACLE_MODELS = [
     ut2(2, 2), cyclic_ring(6), grassmann(3, 3),
     direct_sum(grassmann(3, 3), ut2(0, 0)), repeated_generator_ring(),
+    twin_e22_ring(), nilpotent_ring(),
 ]
 
 
@@ -292,6 +327,68 @@ def test_ordinary_functionals_match_substitution(model):
 def test_orbit_walk_keeps_the_full_walk_order(model):
     for n in (1, 2, 3, 4):
         assert pitheory.evaluation_functionals(model, n) == full_walk_functionals(model, n)
+
+
+def test_orbit_walk_builds_each_row_pattern_once(monkeypatch):
+    """grassmann(3, 6) at n = 4 walks 15,625 tuples.  Prefix products are
+    shared between representatives, and the rows of a tuple are built only
+    when its position map is new to its group: 25,345 products and 629
+    built tuples, against 51,300 and 15,625 when every tuple's rows were
+    built from a per-representative prefix stack.  The list is pinned by a
+    digest of the one the full walk gives."""
+    model = grassmann(3, 6)
+    assert tuple_count(model, 4) == 15_625
+    products, maps = [], []
+    mul = RingModel.mul_sparse
+    monkeypatch.setattr(
+        RingModel, "mul_sparse", lambda self, a, b: products.append(1) or mul(self, a, b)
+    )
+    action = pitheory.tabloid_action_map
+    monkeypatch.setattr(
+        pitheory, "tabloid_action_map", lambda mu, word: maps.append(word) or action(mu, word)
+    )
+    rows = pitheory.evaluation_functionals(model, 4)
+    assert len(products) <= 30_000
+    assert len(maps) <= 1_000
+    assert len(rows) == 24
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "aba54933136953a8009a80e7f90a1f4cd7ff8d0221f2ac498ae6a0a3ae11f5cb"
+    )
+
+
+@st.composite
+def ut2_models(draw):
+    ell = draw(st.integers(0, 12))
+    if ell:
+        m = draw(st.sampled_from([d for d in range(1, ell + 1) if ell % d == 0]))
+    else:
+        m = draw(st.integers(0, 6))
+    return ut2(ell, m)
+
+
+summand_models = st.one_of(
+    st.integers(0, 12).map(cyclic_ring),
+    ut2_models(),
+    st.builds(grassmann, st.sampled_from((0, 1, 3, 5, 9)), st.integers(0, 3)),
+)
+
+
+@st.composite
+def small_sums(draw):
+    """A direct sum of one to three summands and a degree n <= 3, lowered
+    until the full walk makes at most 30,000 words (about 0.3 s)."""
+    model = direct_sum(*draw(st.lists(summand_models, min_size=1, max_size=3)))
+    n = draw(st.integers(1, 3))
+    while n > 1 and tuple_count(model, n) * math.factorial(n) > 30_000:
+        n -= 1
+    return model, n
+
+
+@settings(deadline=None, max_examples=100)
+@given(small_sums())
+def test_orbit_walk_matches_full_walk_on_random_sums(case):
+    model, n = case
+    assert pitheory.evaluation_functionals(model, n) == full_walk_functionals(model, n)
 
 
 BRUTE_FORCE_MODELS = [

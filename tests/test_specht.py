@@ -43,8 +43,10 @@ from pilattice.specht import (
     verify_psi_lemma,
     young_expected,
 )
-from pilattice.lattices import AbelianInvariants, SubmoduleLattice, permute_row
+from pilattice.lattices import AbelianInvariants, SubmoduleLattice
 from pilattice.multilinear import MultilinearPoly, monomial_order
+
+from dense_reference import permute_row
 
 
 # ---------------------------------------------------------------------------
