@@ -169,6 +169,16 @@ class RingModel:
     # -- consistency checks ---------------------------------------------------
 
     def validate(self) -> None:
+        """Raise ValueError unless the table is well defined against the
+        additive torsion and associative, every word through two generators
+        with overlapping support masks vanishes, the declared unit is a
+        two-sided identity and the generators generate the ring.
+
+        Each check multiplies only where a product can be nonzero (see the
+        module docstring).  The support-mask check multiplies generator a
+        into a partner b only when b meets the right factors of some left
+        reachable from a, so it reports the same first pair (a, b) as the
+        unrestricted check."""
         for (i, j), entries in self.table.items():
             if not (0 <= i < self.rank and 0 <= j < self.rank):
                 raise ValueError(f"table key {(i, j)} out of range")
@@ -227,8 +237,9 @@ class RingModel:
                     p for k in rights(ga) if (p := self.mul_sparse(ga, {k: 1}))
                 ]
                 reach = [(left, rights(left)) for left in lefts]
+                reachable = set().union(*(keys for _, keys in reach))
                 for b in partners:
-                    if any(
+                    if not reachable.isdisjoint(gens[b]) and any(
                         not keys.isdisjoint(gens[b]) and self.mul_sparse(left, gens[b])
                         for left, keys in reach
                     ):
@@ -457,25 +468,36 @@ def generator_tuples(model: RingModel, n: int) -> Iterator[tuple[int, ...]]:
     When the model carries disjoint-support masks (exterior algebras), a
     tuple whose supports overlap is skipped together with all extensions:
     any monomial evaluated on such a tuple repeats a mask bit somewhere,
-    which kills the product in every variable order.
+    which kills the product in every variable order.  The masked walk is
+    depth-first over the prefixes of length n - 1, in the order of
+    ``itertools.product``; each prefix is extended at once by every
+    generator its used support leaves free, read from a per-call table
+    keyed by that support.
     """
     g = len(model.generators)
     masks = model.support_masks
     if masks is None:
         yield from itertools.product(range(g), repeat=n)
         return
-
-    def rec(chosen: tuple[int, ...], used: int) -> Iterator[tuple[int, ...]]:
-        if len(chosen) == n:
-            yield chosen
-            return
-        for idx in range(g):
-            m = masks[idx]
-            if m & used:
-                continue
-            yield from rec(chosen + (idx,), used | m)
-
-    yield from rec((), 0)
+    if n == 0:
+        yield ()
+        return
+    # used support -> the 1-tuples of the generators it leaves free, and
+    # the used support after each
+    free: dict[int, tuple[list[tuple[int]], list[int]]] = {}
+    stack = [((), 0)]
+    while stack:
+        prefix, used = stack.pop()
+        step = free.get(used)
+        if step is None:
+            allowed = [i for i in range(g) if not masks[i] & used]
+            step = free[used] = ([(i,) for i in allowed], [used | masks[i] for i in allowed])
+        singles, after = step
+        if len(prefix) == n - 1:
+            yield from map(prefix.__add__, singles)
+        else:
+            # pushed last to first, so popped in increasing order
+            stack.extend(zip(map(prefix.__add__, reversed(singles)), reversed(after)))
 
 
 def tuple_count(model: RingModel, n: int) -> int:

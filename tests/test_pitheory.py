@@ -329,15 +329,12 @@ def test_orbit_walk_keeps_the_full_walk_order(model):
         assert pitheory.evaluation_functionals(model, n) == full_walk_functionals(model, n)
 
 
-def test_orbit_walk_builds_each_row_pattern_once(monkeypatch):
-    """grassmann(3, 6) at n = 4 walks 15,625 tuples.  Prefix products are
-    shared between representatives, and the rows of a tuple are built only
-    when its position map is new to its group: 25,345 products and 629
-    built tuples, against 51,300 and 15,625 when every tuple's rows were
-    built from a per-representative prefix stack.  The list is pinned by a
-    digest of the one the full walk gives."""
-    model = grassmann(3, 6)
-    assert tuple_count(model, 4) == 15_625
+GRASSMANN_3_6_N4_DIGEST = "aba54933136953a8009a80e7f90a1f4cd7ff8d0221f2ac498ae6a0a3ae11f5cb"
+
+
+def counted_walk(monkeypatch, model, n):
+    """``evaluation_functionals(model, n)`` with its ring products and its
+    ``tabloid_action_map`` lookups counted."""
     products, maps = [], []
     mul = RingModel.mul_sparse
     monkeypatch.setattr(
@@ -347,13 +344,34 @@ def test_orbit_walk_builds_each_row_pattern_once(monkeypatch):
     monkeypatch.setattr(
         pitheory, "tabloid_action_map", lambda mu, word: maps.append(word) or action(mu, word)
     )
-    rows = pitheory.evaluation_functionals(model, 4)
-    assert len(products) <= 30_000
-    assert len(maps) <= 1_000
+    return pitheory.evaluation_functionals(model, n), len(products), len(maps)
+
+
+def test_orbit_walk_builds_each_row_pattern_once(monkeypatch):
+    """grassmann(3, 6) at n = 4 walks 15,625 tuples.  Prefix products are
+    shared between representatives, and the rows of a tuple are built only
+    when its position map is new to its group: 25,345 products and 629
+    built tuples, against 51,300 and 15,625 when every tuple's rows were
+    built from a per-representative prefix stack.  The list is pinned by a
+    digest of the one the full walk gives."""
+    model = grassmann(3, 6)
+    assert tuple_count(model, 4) == 15_625
+    rows, products, maps = counted_walk(monkeypatch, model, 4)
+    assert products <= 30_000
+    assert maps <= 1_000
     assert len(rows) == 24
-    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
-        "aba54933136953a8009a80e7f90a1f4cd7ff8d0221f2ac498ae6a0a3ae11f5cb"
-    )
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == GRASSMANN_3_6_N4_DIGEST
+
+
+def test_orbit_walk_makes_one_product_per_step(monkeypatch):
+    """The 4,096 prefixes of length 3 of grassmann(3, 6) have 121 distinct
+    products.  With one product per (distinct product, generator) step,
+    n = 4 makes 1,202 products, against 25,345 with a memo of the prefixes
+    alone; the list keeps the full walk's digest."""
+    rows, products, maps = counted_walk(monkeypatch, grassmann(3, 6), 4)
+    assert products <= 1_300
+    assert maps <= 1_000
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == GRASSMANN_3_6_N4_DIGEST
 
 
 @st.composite
@@ -389,6 +407,49 @@ def small_sums(draw):
 def test_orbit_walk_matches_full_walk_on_random_sums(case):
     model, n = case
     assert pitheory.evaluation_functionals(model, n) == full_walk_functionals(model, n)
+
+
+@st.composite
+def nilpotent_tables(draw):
+    """Rings with A^3 = 0: generators e_0..e_{g-1} over Z, 4 <= g <= 6,
+    whose ordered pairs multiply to 0 (in half the draws) or to +-f for one
+    of at most four targets f, each with its own modulus, and every product
+    with a target is 0.  Every triple product vanishes, so the table is
+    associative and only n = 2 has nonzero rows; unused targets are
+    dropped, so the generators generate.  Distinct multisets often share
+    their value pattern and are met in either order, as in
+    ``nilpotent_ring``.  Which pairs are met first depends on the order of
+    the generators, so the table comes once per rotation of their labels:
+    a walk that skips a whole representative whose pattern it has seen
+    fails on about one table in ten."""
+    g = draw(st.sampled_from((4, 5, 6)))
+    entries = [None] * 8 + [(f, c) for f in range(4) for c in (1, -1)]
+    products = draw(st.lists(st.sampled_from(entries), min_size=g * g, max_size=g * g))
+    pairs = {divmod(p, g): value for p, value in enumerate(products) if value}
+    targets = sorted({f for f, _ in pairs.values()})
+    moduli = (0,) * g + tuple(draw(st.lists(
+        st.sampled_from((0, 2, 3, 4, 5, 7)), min_size=len(targets), max_size=len(targets)
+    )))
+    rank = len(moduli)
+    return [
+        RingModel(
+            label=f"nilpotent-table-{shift}",
+            moduli=moduli,
+            table={
+                ((i + shift) % g, (j + shift) % g): ((g + targets.index(f), c),)
+                for (i, j), (f, c) in pairs.items()
+            },
+            generators=tuple(tuple(int(i == k) for i in range(rank)) for k in range(g)),
+        )
+        for shift in range(g)
+    ]
+
+
+@settings(deadline=None, max_examples=300)
+@given(nilpotent_tables())
+def test_orbit_walk_matches_full_walk_on_nilpotent_tables(models):
+    for model in models:
+        assert pitheory.evaluation_functionals(model, 2) == full_walk_functionals(model, 2)
 
 
 BRUTE_FORCE_MODELS = [

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pilattice.multilinear import bracket_poly
 from pilattice.pitheory import ordinary_codim
@@ -19,6 +19,7 @@ from pilattice.rings import (
     tuple_count,
     ut2,
 )
+from dense_reference import disjoint_mask_tuples
 
 coords3 = st.tuples(*[st.integers(-9, 9)] * 3)
 coords8 = st.tuples(*[st.integers(-9, 9)] * 8)
@@ -217,6 +218,24 @@ def test_rejects_support_masks_that_hide_a_separated_product():
     # a*a = 0, yet a*b*a != 0: a tuple with a twice still has nonzero words
     with pytest.raises(ValueError, match="overlapping support masks"):
         separated_words(support_masks=(1, 0))
+
+
+def test_support_mask_check_reports_the_first_offending_pair():
+    # e0 * e2 = e2 * e0 = f, every other product 0, and every mask 1: of
+    # generator 0's partners, 0 and 1 meet no right factor and are passed
+    # over, and the pairs (0, 2) and (2, 0) both offend; the first is named
+    with pytest.raises(ValueError) as info:
+        RingModel(
+            label="two-offending-pairs",
+            moduli=(0,) * 4,
+            table={(0, 2): ((3, 1),), (2, 0): ((3, 1),)},
+            generators=((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)),
+            support_masks=(1, 1, 1),
+        )
+    assert str(info.value) == (
+        "generators 0 and 2 have overlapping support masks but a word "
+        "through both is nonzero"
+    )
 
 
 def test_support_masks_are_part_of_the_identity():
@@ -439,6 +458,25 @@ def test_tuple_count_matches_enumeration():
     for model in models:
         for n in range(5):
             assert tuple_count(model, n) == sum(1 for _ in generator_tuples(model, n))
+
+
+@settings(max_examples=200, deadline=None)
+@example(masks=[0, 3, 0, 1, 1], n=4)
+@example(masks=[5], n=0)
+@given(st.lists(st.integers(0, 7), min_size=1, max_size=5), st.integers(0, 4))
+def test_masked_walk_matches_filtered_product(masks, n):
+    # zero multiplication, so any masks are valid; small masks repeat often
+    rank = len(masks)
+    model = RingModel(
+        label="masked",
+        moduli=(0,) * rank,
+        table={},
+        generators=[tuple(int(i == k) for i in range(rank)) for k in range(rank)],
+        support_masks=masks,
+    )
+    expected = disjoint_mask_tuples(masks, n)
+    assert list(generator_tuples(model, n)) == expected
+    assert tuple_count(model, n) == len(expected)
 
 
 # ---------------------------------------------------------------------------
