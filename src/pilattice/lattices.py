@@ -635,17 +635,23 @@ def _evaluation_fold(rows: Iterable[tuple[Row, int]], columns: int, tail: int) -
     Returns (D, image, relations): the image is A Z^columns + D, and with
     ``tail`` = columns the relations are the kernel {v : A v in D}.
 
-    The columns go last-first.  The tails already folded touch only columns
-    above j, so a relation met while folding column j has its pivot at j,
-    left of every relation so far: it is inserted without meeting the other
-    relations, and the Hermite form has no dense triangle to back-reduce."""
+    Each head A e_j is the {functional index: value} dict of its nonzeros,
+    each unit tail {j: 1}, or {} from ``tail`` on.  The columns go
+    last-first.  The tails already folded touch only columns above j, so a
+    relation met while folding column j has its pivot at j, left of every
+    relation so far: it is inserted without meeting the other relations,
+    and the Hermite form has no dense triangle to back-reduce."""
     functionals = _clean_rows(rows)
     r = len(functionals)
     moduli = {k: {k: m} for k, (_, m) in enumerate(functionals) if m}
-    order = range(columns - 1, -1, -1)
-    heads = ([v[j] for v, _ in functionals] for j in order)
-    units = ([int(i == j) for i in range(tail)] for j in order)
-    pairs = [*zip(heads, units), *((d, {}) for d in moduli.values())]
+    heads: list[Sparse] = [{} for _ in range(columns)]
+    for k, (v, _) in enumerate(functionals):
+        if len(v) != columns:
+            raise ValueError(f"row length {len(v)} != columns {columns}")
+        for j in compress(range(columns), v):
+            heads[j][k] = v[j]
+    units = ({j: 1} if j < tail else {} for j in range(columns))
+    pairs = [*zip(heads, units)][::-1] + [(d, {}) for d in moduli.values()]
     _, image, relations = split_hnf(pairs, r, tail)
     return SubmoduleLattice(r, moduli), image, relations
 

@@ -174,23 +174,25 @@ def evaluation_functionals(model: RingModel, n: int) -> list[Functional]:
             values.append(value)
         return k
 
-    # ordered generator prefix shorter than n -> the number of its product
-    prefixes: dict[Row, int] = {(i,): number(g) for i, g in enumerate(gens)}
+    # ordered generator prefix shorter than n -> the number of its product;
+    # the empty prefix is -1, whose step by a generator is that generator
+    prefixes: dict[Row, int] = {(): -1}
+    steps.update(((-1, i), number(g)) for i, g in enumerate(gens))
     # representative -> (its sign-normalised rows in coordinate order, the
     # argsorts built in its group, how many its runs allow)
     reps: dict[Row, tuple[list[Functional], set[Row], int]] = {}
     groups: dict[tuple[frozenset[Functional], Row], set[Row]] = {}
 
     def product(word: Row) -> int:
-        num = prefixes.get(word)
+        head = word[:-1]
+        k = prefixes.get(head)
+        if k is None:
+            k = prefixes[head] = product(head)
+        step = (k, word[-1])
+        num = steps.get(step)
         if num is None:
-            step = (product(word[:-1]), word[-1])
-            num = steps.get(step)
-            if num is None:
-                left = values[step[0]]
-                num = steps[step] = number(mul(left, gens[word[-1]]) if left else {})
-            if len(word) < n:
-                prefixes[word] = num
+            left = values[k]
+            num = steps[step] = number(mul(left, gens[word[-1]]) if left else {})
         return num
 
     for tup in generator_tuples(model, n):
@@ -247,12 +249,19 @@ def _rows(model: RingModel, n: int, proper: bool) -> tuple[Functional, ...]:
     if not proper:
         return tuple(evaluation_functionals(model, n))
     # a proper functional is an ordinary one restricted to the proper
-    # basis; zero and repeated rows are left to the lattice layer
-    basis = [[(i, c) for i, c in enumerate(b) if c] for b in proper_basis(n).matrix]
-    return tuple(
-        (tuple(sum(c * row[i] for i, c in b) for b in basis), m)
-        for row, m in _rows(model, n, False)
-    )
+    # basis; the table sends each monomial column to the (proper index,
+    # coefficient) pairs it feeds, so a row adds only its nonzero entries.
+    # Zero and repeated rows are left to the lattice layer
+    basis = proper_basis(n).matrix
+    table = [[(k, b[i]) for k, b in enumerate(basis) if b[i]] for i in range(_columns(n, False))]
+    out = []
+    for row, m in _rows(model, n, False):
+        acc = [0] * len(basis)
+        for i in itertools.compress(range(len(row)), row):
+            for k, c in table[i]:
+                acc[k] += c * row[i]
+        out.append((tuple(acc), m))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

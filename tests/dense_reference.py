@@ -2,6 +2,8 @@
 
 import itertools
 
+from pilattice.lattices import SubmoduleLattice, _clean_rows, split_hnf
+
 
 def permute_row(action_map, row):
     """The row with coordinate i moved to coordinate ``action_map[i]``: the
@@ -22,3 +24,29 @@ def disjoint_mask_tuples(masks, n):
         for tup in itertools.product(range(len(masks)), repeat=n)
         if all(not masks[a] & masks[b] for a, b in itertools.combinations(tup, 2))
     ]
+
+
+def proper_rows(ordinary_rows, basis):
+    """Each ordinary functional restricted to the proper basis, one sum
+    over a basis element's nonzero coefficients per entry: the dense
+    reference for the projection of ``pitheory._rows(model, n, True)``."""
+    basis = [[(i, c) for i, c in enumerate(b) if c] for b in basis]
+    return tuple(
+        (tuple(sum(c * row[i] for i, c in b) for b in basis), m)
+        for row, m in ordinary_rows
+    )
+
+
+def evaluation_fold(rows, columns, tail):
+    """``lattices._evaluation_fold`` with every head column and unit tail
+    handed to ``split_hnf`` as a dense list: the reference for its sparse
+    inputs."""
+    functionals = _clean_rows(rows)
+    r = len(functionals)
+    moduli = {k: {k: m} for k, (_, m) in enumerate(functionals) if m}
+    order = range(columns - 1, -1, -1)
+    heads = ([v[j] for v, _ in functionals] for j in order)
+    units = ([int(i == j) for i in range(tail)] for j in order)
+    pairs = [*zip(heads, units), *((d, {}) for d in moduli.values())]
+    _, image, relations = split_hnf(pairs, r, tail)
+    return SubmoduleLattice(r, moduli), image, relations

@@ -45,6 +45,7 @@ from pilattice.specht import (
     tabloid_module_basis,
 )
 
+import dense_reference
 from dense_reference import permute_row
 
 
@@ -448,6 +449,7 @@ lattice_pair = st.integers(1, 3).flatmap(
 )
 
 
+@settings(deadline=None)
 @given(lattice_pair)
 def test_intersect_matches_brute_force(data):
     rows_a, rows_b, cols = data
@@ -574,6 +576,37 @@ def test_evaluation_fold_is_order_independent(data, rng):
     _, image, relations = _evaluation_fold(functionals, cols, cols)
     for pairs in (columns[::-1] + moduli, columns + moduli, shuffled):
         assert split_hnf(pairs, r, cols)[1:] == (image, relations)
+
+
+fold_inputs = st.integers(1, 24).flatmap(
+    lambda cols: st.tuples(
+        st.lists(
+            st.tuples(
+                st.lists(st.just(0) | st.integers(-9, 9), min_size=cols, max_size=cols),
+                st.sampled_from((0, 2, 3, 4, 6, 7)),
+            ),
+            max_size=12,
+        ),
+        st.just(cols),
+        st.sampled_from((0, cols)),
+    )
+)
+
+
+@settings(deadline=None)
+@given(fold_inputs)
+def test_evaluation_fold_matches_dense_inputs(data):
+    """Sparse heads and unit tails fold to the moduli lattice, image and
+    relations of the dense columns ``split_hnf`` was handed before."""
+    functionals, cols, tail = data
+    expected = dense_reference.evaluation_fold(functionals, cols, tail)
+    assert _evaluation_fold(functionals, cols, tail) == expected
+
+
+def test_evaluation_fold_rejects_rows_of_another_length():
+    for vec in ([1], [1, 0, 0]):
+        with pytest.raises(ValueError):
+            image_invariants([([1, 1], 2), (vec, 2)], 2)
 
 
 def test_evaluation_kernel_makes_few_hermite_updates(monkeypatch):

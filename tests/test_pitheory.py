@@ -52,7 +52,7 @@ from pilattice.rings import (
 from pilattice.specht import (
     conjugacy_class_reps, specht_character, tabloid_action_map,
 )
-from dense_reference import permute_row
+from dense_reference import permute_row, proper_rows
 from test_lattices import assert_torsion_counts, brute_image
 
 
@@ -327,6 +327,17 @@ def test_ordinary_functionals_match_substitution(model):
 def test_orbit_walk_keeps_the_full_walk_order(model):
     for n in (1, 2, 3, 4):
         assert pitheory.evaluation_functionals(model, n) == full_walk_functionals(model, n)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [*ORDINARY_ORACLE_MODELS, ut2(0, 0), ut2(9, 3)],
+    ids=lambda model: model.label,
+)
+def test_proper_rows_match_the_dense_projection(model):
+    for n in (1, 2, 3, 4, 5):
+        expected = proper_rows(pitheory._rows(model, n, False), proper_basis(n).matrix)
+        assert pitheory._rows(model, n, True) == expected
 
 
 GRASSMANN_3_6_N4_DIGEST = "aba54933136953a8009a80e7f90a1f4cd7ff8d0221f2ac498ae6a0a3ae11f5cb"
