@@ -4,7 +4,9 @@ Everything here works over Z with arbitrary-precision Python ints.  One
 Hermite fold (``split_hnf``) gives the image, the relations and the
 preimages: the value group and the identity lattice of an evaluation map
 with mixed cyclic target moduli come off one fold, and the Smith diagonal
-from alternating folds.  Only ``field_rank``'s mod-p check works apart.
+from alternating folds.  One kernel, ``_reduce``, reduces every row over
+Z: the fold's steps, membership, coordinates, traces and the Hermite form
+all go through it.  Only ``field_rank``'s mod-p check works apart.
 
 Vectors are rows throughout; a lattice is the row span of a matrix, and a
 map acts on the right (``v @ M``).  Matrices are plain ``list[list[int]]``;
@@ -84,9 +86,12 @@ def _reduce(
             if quotients is not None:
                 quotients[j] = q
             for c, rc in r.items():
-                if c not in w and c in echelon:
-                    heappush(heap, c)
-                if x := w.get(c, 0) - q * rc:
+                x = w.get(c)
+                if x is None:
+                    w[c] = -q * rc
+                    if c in echelon:
+                        heappush(heap, c)
+                elif x := x - q * rc:
                     w[c] = x
                 else:
                     del w[c]
@@ -105,15 +110,21 @@ class LatticeBuilder:
 
     ``add`` takes a dense row or a {column: value} dict.  ``echelon`` maps
     each pivot to its row, the dict of its nonzero entries; ``rows`` and
-    ``pivots`` list them in pivot order.  The arithmetic is the dense
-    fold's, and only zeros are never read: a step at pivot j clears v[j]
-    and both rows are zero left of j, so the next leading entry lies right
-    of j; and v - q*r changes v only at the columns of r.
+    ``pivots`` list them in pivot order.
 
-    An xgcd-combined row is reduced against the later pivots before it is
-    stored (its pivot entry g < a, so the earlier rows leave it alone):
-    unreduced, such rows feed each other and the entries grow to thousands
-    of bits on dense inputs, while the Hermite form's stay small.
+    Each step of ``add`` reduces the row v against every pivot it holds
+    (``_reduce``, the one reduction kernel), and stops when nothing
+    remains.  If the leading column j of the remainder is no pivot, v is
+    stored there with a positive leading entry.  Otherwise v[j] is a
+    nonzero remainder of the pivot entry a, and xgcd(a, v[j]) replaces row
+    j by a combination with pivot entry g < a, reduced against the later
+    pivots, and leaves a row zero at j for the next step.  So every row is
+    stored reduced against the pivots right of its own: unreduced rows feed
+    each other, and their entries grow to thousands of bits on torsion
+    spins while the Hermite form's stay small.
+
+    >>> LatticeBuilder(2, [[0, 1], [1, 5]]).echelon
+    {1: {1: 1}, 0: {0: 1}}
     """
 
     __slots__ = ("ambient", "echelon")
@@ -136,27 +147,18 @@ class LatticeBuilder:
         v = _sparse(row, self.ambient)
         echelon = self.echelon
         changed = False
-        while v:
+        while _reduce(v, echelon):
             j = min(v)
             r = echelon.get(j)
             if r is None:
-                if v[j] < 0:
-                    v = {c: -x for c, x in v.items()}
-                echelon[j] = v
+                echelon[j] = v if v[j] > 0 else {c: -x for c, x in v.items()}
                 return True
+            # 0 < v[j] < r[j]: the remainder at j, so r[j] does not divide it
             a, b = r[j], v[j]
-            if b % a == 0:
-                q = b // a
-                for c, rc in r.items():
-                    if x := v.get(c, 0) - q * rc:
-                        v[c] = x
-                    else:
-                        del v[c]
-            else:
-                g, x, y = xgcd(a, b)
-                echelon[j] = _reduce(_combine(x, r, y, v), echelon, j)
-                v = _combine(a // g, v, -(b // g), r)
-                changed = True
+            g, x, y = xgcd(a, b)
+            echelon[j] = _reduce(_combine(x, r, y, v), echelon, j)
+            v = _combine(a // g, v, -(b // g), r)
+            changed = True
         return changed
 
     def reduce(self, row: Row | Sparse) -> Sparse:
@@ -186,27 +188,6 @@ def _hermite(ambient: int, echelon: dict[int, Sparse]) -> SubmoduleLattice:
     return SubmoduleLattice(
         ambient, {j: _reduce(dict(echelon[j]), echelon, j) for j in sorted(echelon)}
     )
-
-
-def hnf(rows: Iterable[Row], ambient: int | None = None) -> tuple[tuple[int, ...], ...]:
-    """Canonical row Hermite normal form of the lattice spanned by ``rows``.
-
-    Pivots are positive, entries above each pivot lie in [0, pivot), zero
-    rows are dropped and pivot columns increase strictly.  The result is a
-    complete lattice invariant: two row sets span the same lattice iff
-    their ``hnf`` outputs are equal.
-
-    >>> hnf([[2, 4], [1, 3]])
-    ((1, 1), (0, 2))
-    >>> hnf([[0, 0], [0, 0]], ambient=2)
-    ()
-    """
-    rows = [list(r) for r in rows]
-    if ambient is None:
-        if not rows:
-            raise ValueError("ambient dimension required for an empty row set")
-        ambient = len(rows[0])
-    return LatticeBuilder(ambient, rows).snapshot().rows
 
 
 @dataclass(frozen=True)
@@ -283,15 +264,6 @@ class SubmoduleLattice:
         return SubmoduleLattice.from_rows(
             self.ambient, [*self.echelon.values(), *other.echelon.values()]
         )
-
-    def intersect(self, other: "SubmoduleLattice") -> "SubmoduleLattice":
-        """Intersection: the tails a of the relations between the rows
-        [a | a] of self and [b | 0] of other, where a + b = 0."""
-        if self.ambient != other.ambient:
-            raise ValueError("ambient mismatch")
-        a, b = self.echelon.values(), other.echelon.values()
-        pairs = [*((r, r) for r in a), *((r, {}) for r in b)]
-        return split_hnf(pairs, self.ambient, self.ambient)[2]
 
     def quotient_invariants(self, inner: "SubmoduleLattice") -> "AbelianInvariants":
         """Invariants of self/inner; raises if inner is not contained."""
@@ -416,15 +388,6 @@ def preimage(whole: LatticeBuilder, u: Row | Sparse, head: int | None = None) ->
     if v and min(v) < head:
         return None
     return [-v.get(c, 0) for c in range(head, whole.ambient)]
-
-
-def kernel_basis(rows: Sequence[Row], ambient: int) -> list[list[int]]:
-    """Basis of the right kernel {v : M @ v = 0} of the matrix with given rows.
-
-    The kernel of an integer matrix is a saturated lattice, so this basis
-    spans it over Z, not merely over Q.
-    """
-    return [list(r) for r in evaluation_kernel([(r, 0) for r in rows], ambient).rows]
 
 
 def smith_normal_form(rows: Sequence[Row | Sparse], ambient: int) -> list[int]:
@@ -700,7 +663,8 @@ def field_rank(rows: Iterable[Row], columns: int, q: int = 0) -> int:
     reduced: list[list[int]] = []
     pivots: list[int] = []
     for row in rows:
-        v = [c % q for c in row]
+        s = _sparse(row, columns)
+        v = [s.get(c, 0) % q for c in range(columns)]
         for r, p in zip(reduced, pivots):
             if v[p]:
                 f = v[p] * pow(r[p], -1, q) % q

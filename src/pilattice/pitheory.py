@@ -592,18 +592,6 @@ def identities_vanish(model: RingModel, polys: Sequence[MultilinearPoly]) -> boo
     return True
 
 
-def identities_in_kernel(
-    model: RingModel,
-    polys: Sequence[MultilinearPoly],
-    *,
-    n_bound: int | None = None,
-) -> bool:
-    """Dual route to ``identities_vanish``: membership in the computed
-    kernel lattice at each polynomial's own degree."""
-    _guard([(model, f.degree, n_bound) for f in polys])
-    return _in_kernel(model, polys)
-
-
 def _in_kernel(model: RingModel, polys: Sequence[MultilinearPoly]) -> bool:
     return all(
         _kernel(model, f.degree, False).contains(f.to_vector(f.degree)) for f in polys

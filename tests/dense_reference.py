@@ -5,6 +5,16 @@ import itertools
 from pilattice.lattices import SubmoduleLattice, _clean_rows, split_hnf
 
 
+def intersect(a, b):
+    """The intersection of two lattices of one ambient: the tails x of the
+    relations between the rows [x | x] of ``a`` and [y | 0] of ``b``, where
+    x + y = 0."""
+    if a.ambient != b.ambient:
+        raise ValueError("ambient mismatch")
+    pairs = [*((r, r) for r in a.echelon.values()), *((r, {}) for r in b.echelon.values())]
+    return split_hnf(pairs, a.ambient, a.ambient)[2]
+
+
 def permute_row(action_map, row):
     """The row with coordinate i moved to coordinate ``action_map[i]``: the
     dense reference for the action maps of ``specht.tabloid_action_map``."""

@@ -24,11 +24,9 @@ from pilattice.lattices import (
     cokernel_invariants,
     evaluation_kernel,
     field_rank,
-    hnf,
     image_invariants,
     json_restore_int,
     json_sanitize,
-    kernel_basis,
     orbit_span,
     preimage,
     smith_normal_form,
@@ -46,7 +44,7 @@ from pilattice.specht import (
 )
 
 import dense_reference
-from dense_reference import permute_row
+from dense_reference import intersect, permute_row
 
 
 # ---------------------------------------------------------------------------
@@ -172,17 +170,13 @@ def subgroup_functionals(gens, moduli):
 # ---------------------------------------------------------------------------
 
 def test_hnf_frozen():
-    assert hnf([[2, 4], [1, 3]]) == ((1, 1), (0, 2))
-    assert hnf([[0, 0], [0, 0]]) == ()
-    assert hnf([[4, 6]]) == ((4, 6),)
-    assert hnf([[2, 0], [0, 3], [1, 1]], 2) == ((1, 0), (0, 1))
-    assert hnf([[-3, 0], [0, -5]], 2) == ((3, 0), (0, 5))
-
-
-def test_hnf_requires_ambient_for_empty_input():
-    with pytest.raises(ValueError):
-        hnf([])
-    assert hnf([], 3) == ()
+    from_rows = SubmoduleLattice.from_rows
+    assert from_rows(2, [[2, 4], [1, 3]]).rows == ((1, 1), (0, 2))
+    assert from_rows(2, [[0, 0], [0, 0]]).rows == ()
+    assert from_rows(2, [[4, 6]]).rows == ((4, 6),)
+    assert from_rows(2, [[2, 0], [0, 3], [1, 1]]).rows == ((1, 0), (0, 1))
+    assert from_rows(2, [[-3, 0], [0, -5]]).rows == ((3, 0), (0, 5))
+    assert from_rows(3, []).rows == ()
 
 
 def test_snf_frozen():
@@ -271,6 +265,20 @@ def test_field_rank_frozen():
         field_rank(rows, 2, 4)
 
 
+def test_field_rank_reads_rows_as_the_builder_does():
+    """Over Q and over F_q alike, a row longer or shorter than ``columns``
+    is an error, and a {column: value} row is read by its values; mod 2,
+    (0, 0, 1) once read as a zero row of width 2, and mod 3 {0: 3, 1: 3}
+    as the row of its columns (0, 1)."""
+    for q in (0, 2, 3):
+        for row in ([0, 0, 1], [1], {2: 1}):
+            with pytest.raises(ValueError):
+                field_rank([[1, 0], row], 2, q)
+    assert field_rank([{0: 3, 1: 3}], 2, 3) == 0
+    assert field_rank([{0: 3, 1: 3}, {1: 2}], 2, 0) == 2
+    assert field_rank([{0: 3, 1: 3}, {1: 2}], 2, 5) == 2
+
+
 def test_evaluation_kernel_frozen():
     # x+y mod 2 and x-y over Z: need x = y, and then x+y is always even
     ker = evaluation_kernel([((1, 1), 2), ((1, -1), 0)], 2)
@@ -324,7 +332,7 @@ def test_split_hnf_relations():
 def test_intersect_and_sum():
     a = SubmoduleLattice.from_rows(2, [[2, 0], [0, 3]])
     b = SubmoduleLattice.from_rows(2, [[3, 0], [0, 2]])
-    assert a.intersect(b).rows == ((6, 0), (0, 6))
+    assert intersect(a, b).rows == ((6, 0), (0, 6))
     assert a.sum_with(b).rows == ((1, 0), (0, 1))
 
 
@@ -364,15 +372,15 @@ pair_rows = st.lists(
 @given(small_matrix)
 def test_hnf_matches_oracle(data):
     rows, cols = data
-    assert hnf(rows, cols) == oracle_hnf(rows, cols)
+    assert SubmoduleLattice.from_rows(cols, rows).rows == oracle_hnf(rows, cols)
 
 
 @given(small_matrix)
 def test_hnf_idempotent_and_spans_same_lattice(data):
     rows, cols = data
-    h = hnf(rows, cols)
-    assert hnf(h, cols) == h
     latt = SubmoduleLattice.from_rows(cols, rows)
+    h = latt.rows
+    assert SubmoduleLattice.from_rows(cols, h).rows == h
     for r in rows:
         assert latt.contains(r)
     builder = LatticeBuilder(cols, rows)
@@ -400,7 +408,7 @@ def test_saturated_iff_unit_invariant_factors(data):
 @given(small_matrix)
 def test_kernel_basis_spans_right_kernel(data):
     rows, cols = data
-    ker = kernel_basis(rows, cols)
+    ker = evaluation_kernel([(r, 0) for r in rows], cols).rows
     for v in ker:
         assert len(v) == cols
         for r in rows:
@@ -455,7 +463,7 @@ def test_intersect_matches_brute_force(data):
     rows_a, rows_b, cols = data
     a = SubmoduleLattice.from_rows(cols, rows_a)
     b = SubmoduleLattice.from_rows(cols, rows_b)
-    both = a.intersect(b)
+    both = intersect(a, b)
     for row in both.rows:
         assert a.contains(row) and b.contains(row)
     for v in itertools.product(range(-12, 13), repeat=cols):
@@ -660,8 +668,8 @@ def test_orbit_span_matches_full_orbit_fold(data):
 
 def test_builder_entries_stay_small():
     """Folding the full S_4-orbits of dense vectors keeps the echelon
-    entries near the Hermite form's size, since xgcd-combined rows are
-    reduced against the later pivots."""
+    entries near the Hermite form's size, since every row, new or
+    xgcd-combined, is stored reduced against the later pivots."""
     rng = random.Random(0)
     builder = LatticeBuilder(24)
     for _ in range(5):
@@ -679,7 +687,8 @@ class DenseBuilder:
     """The echelon fold on dense rows, as it was before ``LatticeBuilder``
     read only nonzero entries: the leading entry is searched from column 0
     and every step runs over the whole row, so the sparse kernel must match
-    it exactly."""
+    it exactly.  Each step first reduces the row against every pivot, so a
+    row is stored reduced and a pivot entry never divides the remainder."""
 
     def __init__(self, ambient):
         self.ambient, self.rows, self.pivots = ambient, [], []
@@ -697,6 +706,7 @@ class DenseBuilder:
         changed = False
         i = 0
         while True:
+            v = self.reduce(v)
             j = next((c for c in range(self.ambient) if v[c]), None)
             if j is None:
                 return changed
@@ -705,15 +715,10 @@ class DenseBuilder:
             if i < len(self.pivots) and self.pivots[i] == j:
                 r = self.rows[i]
                 a, b = r[j], v[j]
-                if b % a == 0:
-                    q = b // a
-                    for c in range(j, self.ambient):
-                        v[c] -= q * r[c]
-                else:
-                    g, x, y = xgcd(a, b)
-                    self.rows[i] = self.reduce([x * rc + y * vc for rc, vc in zip(r, v)])
-                    v = [(a // g) * vc - (b // g) * rc for rc, vc in zip(r, v)]
-                    changed = True
+                g, x, y = xgcd(a, b)
+                self.rows[i] = self.reduce([x * rc + y * vc for rc, vc in zip(r, v)])
+                v = [(a // g) * vc - (b // g) * rc for rc, vc in zip(r, v)]
+                changed = True
             else:
                 if v[j] < 0:
                     v = [-c for c in v]

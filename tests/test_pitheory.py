@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from pilattice import pitheory
 from pilattice.lattices import (
-    AbelianInvariants, SubmoduleLattice, evaluation_kernel, image_invariants,
+    AbelianInvariants, LatticeBuilder, SubmoduleLattice, evaluation_kernel,
+    image_invariants,
 )
 from pilattice.multilinear import (
     MultilinearPoly, bracket_poly, monomial_order, proper_basis,
@@ -28,7 +29,6 @@ from pilattice.pitheory import (
     drensky_filtration,
     grassmann_crossing_identity,
     grassmann_identity_basis,
-    identities_in_kernel,
     identities_vanish,
     kernel_lattice,
     ordinary_codim,
@@ -612,11 +612,11 @@ def test_identity_bases_vanish_and_sit_in_kernel():
     model = ut2(2, 2)
     basis = ut2_identity_basis(2, 2)
     assert identities_vanish(model, basis)
-    assert identities_in_kernel(model, basis)
+    assert all(kernel_lattice(model, f.degree).contains(f.to_vector(f.degree)) for f in basis)
     probe = grassmann(3, 5)
     gbasis = grassmann_identity_basis(3)
     assert identities_vanish(probe, gbasis + [grassmann_crossing_identity()])
-    assert identities_in_kernel(probe, gbasis)
+    assert all(kernel_lattice(probe, f.degree).contains(f.to_vector(f.degree)) for f in gbasis)
 
 
 def test_identity_basis_scalars_dropped_when_zero():
@@ -706,6 +706,46 @@ def test_consequence_closure_equals_kernel_ut2():
     closure = consequence_lattice(ut2_identity_basis(2, 2), 3)
     kern = kernel_lattice(model, 3)
     assert closure.contains_lattice(kern) and kern.contains_lattice(closure)
+
+
+def track_peak_bits(monkeypatch):
+    """Patch ``LatticeBuilder.add`` to track the bit length of the largest
+    entry that any builder stores, over every add; returns a one-element
+    list holding it.  A stored row is never changed in place, so only the
+    rows that are new objects since the last add are read."""
+    add, stored, peak = LatticeBuilder.add, {}, [0]
+
+    def tracking_add(self, row):
+        added = add(self, row)
+        seen = stored.setdefault(id(self), {})
+        for j, r in self.echelon.items():
+            if seen.get(j) is not r:
+                seen[j] = r
+                peak[0] = max(peak[0], *(abs(x).bit_length() for x in r.values()))
+        return added
+
+    monkeypatch.setattr(LatticeBuilder, "add", tracking_add)
+    return peak
+
+
+def test_torsion_spin_keeps_builder_entries_small(monkeypatch):
+    """The consequence spin of the ut2(4,2) basis at n = 5: the Hermite
+    form's entries take 3 bits, and the builder's stay near that because
+    every row is stored reduced against the later pivots (stored raw, a row
+    that opens a new pivot let them reach 48 bits)."""
+    peak = track_peak_bits(monkeypatch)
+    consequence_lattice(ut2_identity_basis(4, 2), 5)
+    assert 0 < peak[0] <= 8
+
+
+def test_consequence_closure_equals_kernel_ut2_at_degree_6(monkeypatch):
+    """The paper's ut2 basis spans the whole identity lattice of ut2(2,2)
+    at n = 6, and its spin keeps the builder's entries small (stored raw,
+    new rows let them reach 17,035 bits)."""
+    kern = kernel_lattice(ut2(2, 2), 6, n_bound=6)
+    peak = track_peak_bits(monkeypatch)
+    assert consequence_lattice(ut2_identity_basis(2, 2), 6) == kern
+    assert 0 < peak[0] <= 8
 
 
 def test_consequences_require_normalized_variables():
