@@ -394,10 +394,14 @@ def smith_normal_form(rows: Sequence[Row | Sparse], ambient: int) -> list[int]:
     """Diagonal of the Smith normal form: d_1 | d_2 | ... | d_r, all > 0.
 
     ``rows`` are relations in Z^ambient; only the nonzero diagonal is
-    returned (its length is the rank of the matrix).  Hermite folds of the
-    rows and of the transpose alternate until each row has one nonzero
-    entry; pairwise gcd/lcm then makes the diagonal a divisor chain (Kannan
-    and Bachem, SIAM J. Comput. 8, 1979; Cohen 1993, 2.4.4).
+    returned (its length is the rank of the matrix).  Each row of the first
+    Hermite form with pivot 1 is a diagonal 1 on its own: the canonical
+    form reduces the entries above a unit pivot to 0, so its column is zero
+    in every other row, and column operations clear the rest of its row
+    without touching them.  Hermite folds of the other rows and of their
+    transpose then alternate until each row has one nonzero entry; pairwise
+    gcd/lcm makes that diagonal a divisor chain (Kannan and Bachem, SIAM J.
+    Comput. 8, 1979; Cohen 1993, 2.4.4).
 
     >>> smith_normal_form([[2, 0], [0, 3]], 2)
     [1, 6]
@@ -405,16 +409,23 @@ def smith_normal_form(rows: Sequence[Row | Sparse], ambient: int) -> list[int]:
     []
     """
     h = LatticeBuilder(ambient, rows).snapshot()
+    rest = [w for j, w in h.echelon.items() if w[j] != 1]
+    units = h.rank - len(rest)
     # terminates: each round's first pivot divides the last one, so it
     # settles, and then its row and column clear and the minor follows
-    while any(len(w) > 1 for w in h.echelon.values()):
-        h = LatticeBuilder(h.rank, zip(*h.rows)).snapshot()
-    diag = [w[j] for j, w in h.echelon.items()]
+    while any(len(w) > 1 for w in rest):
+        columns: dict[int, Sparse] = {}
+        for k, w in enumerate(rest):
+            for c, x in w.items():
+                columns.setdefault(c, {})[k] = x
+        h = LatticeBuilder(len(rest), [columns[c] for c in sorted(columns)]).snapshot()
+        rest = [*h.echelon.values()]
+    diag = [x for w in rest for x in w.values()]
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
             g = gcd(diag[i], diag[j])
             diag[i], diag[j] = g, diag[i] * diag[j] // g
-    return diag
+    return [1] * units + diag
 
 
 @dataclass(frozen=True)
@@ -552,8 +563,9 @@ def _prime_power_base(q: int) -> int | None:
     return next(iter(f)) if len(f) == 1 else None
 
 
-def cokernel_invariants(relations: Sequence[Row], ambient: int) -> AbelianInvariants:
-    """Invariants of Z^ambient / row-span(relations).
+def cokernel_invariants(relations: Sequence[Row | Sparse], ambient: int) -> AbelianInvariants:
+    """Invariants of Z^ambient / row-span(relations); each relation is a
+    dense row or a {column: value} dict.
 
     >>> cokernel_invariants([[2, 0], [0, 3]], 2)
     AbelianInvariants(torsion=(6,), free_rank=0)

@@ -206,7 +206,8 @@ def commutator(f: MultilinearPoly, g: MultilinearPoly) -> MultilinearPoly:
 
 
 def bracket_poly(indices: Word) -> MultilinearPoly:
-    """Expansion of the left-normed commutator [x_{i1}, x_{i2}, ..., x_{ik}].
+    """Expansion of the left-normed commutator [x_{i1}, x_{i2}, ..., x_{ik}],
+    from the closed form of ``_bracket_terms``.
 
     >>> sorted(bracket_poly((2, 1)).terms.items())
     [((1, 2), -1), ((2, 1), 1)]
@@ -217,10 +218,24 @@ def bracket_poly(indices: Word) -> MultilinearPoly:
         raise ValueError("a commutator needs at least two entries")
     if len(set(indices)) != len(indices):
         raise ValueError("commutator entries must be distinct")
-    poly = MultilinearPoly.monomial((indices[0],))
-    for i in indices[1:]:
-        poly = commutator(poly, MultilinearPoly.monomial((i,)))
-    return poly
+    return MultilinearPoly(dict(_bracket_terms(tuple(indices))))
+
+
+@lru_cache(maxsize=None)
+def _bracket_terms(indices: Word) -> tuple[tuple[Word, int], ...]:
+    """The terms of [x_{a1}, ..., x_{ak}] (distinct entries, k >= 2):
+
+        [a1, ..., ak] = sum over T of {a2..ak} of (-1)^|T| (T reversed) a1 (the rest in order),
+
+    since [u, x] = u x - x u puts x last in the rest or first in T.  The
+    words are distinct: a1 sits at position |T|, after the entries of T."""
+    first, rest = indices[0], indices[1:]
+    out = []
+    for taken in itertools.product((False, True), repeat=len(rest)):
+        front = tuple(a for a, t in zip(rest, taken) if t)[::-1]
+        back = tuple(a for a, t in zip(rest, taken) if not t)
+        out.append((front + (first,) + back, -1 if len(front) % 2 else 1))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -346,16 +361,13 @@ def proper_basis(n: int) -> ProperBasis:
         for combo in itertools.product(*map(_block_brackets, part)):
             elems.append(CommutatorWord((), combo))
     dim = len(monomial_order(n))
-    rows = [e.expand().to_vector(n) for e in elems]
+    rows = [_product_row(e.brackets, n) for e in elems]
     chosen = LatticeBuilder(dim, rows)
     if chosen.rank() != len(elems):
         raise AssertionError(f"selected commutator products are dependent at n={n}")
     for part in _blockwise_partitions(tuple(range(1, n + 1))):
         for combo in itertools.product(*map(_candidate_brackets, part)):
-            poly = MultilinearPoly.one()
-            for br in combo:
-                poly = poly * bracket_poly(br)
-            if not chosen.contains(poly.to_vector(n)):
+            if not chosen.contains(_product_row(combo, n)):
                 raise AssertionError(
                     f"bracket product outside the selected span at n={n}: {combo}"
                 )
@@ -363,6 +375,22 @@ def proper_basis(n: int) -> ProperBasis:
     if not lattice.is_saturated():
         raise AssertionError(f"proper lattice is not a direct summand at n={n}")
     return ProperBasis(n, tuple(elems), tuple(tuple(r) for r in rows), lattice)
+
+
+def _product_row(brackets: tuple[Word, ...], n: int) -> list[int]:
+    """The row of the product of left-normed brackets whose entries are
+    1..n, each once: one entry per choice of a term of each bracket, since
+    the concatenated words are distinct."""
+    index = _monomial_index(n)
+    row = [0] * len(index)
+    for factors in itertools.product(*map(_bracket_terms, brackets)):
+        word: Word = ()
+        coeff = 1
+        for w, c in factors:
+            word += w
+            coeff *= c
+        row[index[word]] = coeff
+    return row
 
 
 @lru_cache(maxsize=None)

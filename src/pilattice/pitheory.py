@@ -22,6 +22,7 @@ from typing import Callable, Iterable, Sequence
 from .lattices import (
     AbelianInvariants,
     SubmoduleLattice,
+    cokernel_invariants,
     evaluation_kernel,
     field_rank,
     image_invariants,
@@ -146,7 +147,8 @@ def evaluation_functionals(model: RingModel, n: int) -> list[Functional]:
     repeats, and a group that has met every ``pos`` skips its tuples.  A
     group records each ``pos`` by its inverse, the stable argsort of the
     tuple, and ``pos`` itself is formed only for a tuple whose rows are
-    built.
+    built.  Its map is composed from the maps of the n - 1 adjacent
+    transpositions, the only ones built from the tabloids.
 
     Each distinct product is numbered once, and ``mul_sparse`` runs once
     per (product number, generator) step; a memo of the ordered generator
@@ -266,11 +268,18 @@ def _rows(model: RingModel, n: int, proper: bool) -> tuple[Functional, ...]:
 
 @lru_cache(maxsize=None)
 def _invariants(model: RingModel, n: int, proper: bool) -> AbelianInvariants:
-    return image_invariants(_rows(model, n, proper), _columns(n, proper))
+    """The degree-n value group.  The ordinary one is Z^{n!}/K for the
+    identity lattice K, read off the Hermite rows of ``_kernel``, so one
+    fold serves the codim report and ``kernel_lattice``; the proper one is
+    the image of the proper functionals, whose kernel no codim needs."""
+    if proper:
+        return image_invariants(_rows(model, n, True), _columns(n, True))
+    return cokernel_invariants([*_kernel(model, n, False).echelon.values()], _columns(n, False))
 
 
 @lru_cache(maxsize=None)
 def _kernel(model: RingModel, n: int, proper: bool) -> SubmoduleLattice:
+    """The degree-n identity lattice, in the monomial or proper columns."""
     return evaluation_kernel(_rows(model, n, proper), _columns(n, proper))
 
 

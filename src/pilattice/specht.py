@@ -230,31 +230,52 @@ def adjacent_transpositions(n: int) -> tuple[PermWord, ...]:
     return tuple(ident[: i - 1] + (i + 1, i) + ident[i + 1 :] for i in range(1, n))
 
 
-def _transposition_maps(mu: Composition) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def _transposition_maps(mu: Composition) -> tuple[tuple[int, ...], ...]:
     """The maps of the adjacent transpositions (i, i+1), which generate the
-    action for ``orbit_span``."""
-    return [tabloid_action_map(mu, w) for w in adjacent_transpositions(sum(mu))]
+    action for ``orbit_span``.  They are the only maps built from the row
+    words: the transposition swaps entries i and i+1 of each word."""
+    words, index = _row_words(mu)
+    return tuple(
+        tuple([index[w[:i] + (w[i + 1], w[i]) + w[i + 2 :]] for w in words])
+        for i in range(sum(mu) - 1)
+    )
 
 
 @lru_cache(maxsize=None)
 def tabloid_action_map(mu: Composition, word: PermWord) -> tuple[int, ...]:
-    """Index permutation of the action of a one-line permutation word: the
-    word moves tabloid i to tabloid ``map[i]``, so coordinate i of a row
-    moves to coordinate ``map[i]``.
+    """Index permutation of the action of a one-line permutation word of
+    1..sum(mu): the word moves tabloid i to tabloid ``map[i]``, so
+    coordinate i of a row moves to coordinate ``map[i]``.
 
     The (1^n)-tabloids, read as words, are the monomials of
     ``monomial_order(n)`` in the same order, so for mu = (1^n) this is the
     renaming action on the n! monomial columns: the swap of x_1 and x_2
     takes x1x2x3 (column 0) to x2x1x3 (column 2).
 
+    The maps compose, map(sigma tau)[i] = map(sigma)[map(tau)[i]], so only
+    the adjacent transpositions' maps are built (``_transposition_maps``).
+    A bubble sort of the word, word s_{j1} ... s_{jk} = 1, gives
+    word = s_{jk} ... s_{j1}, and the map applies the map of s_{j1} first.
+    Every entry is one of the shape's index ints, and no intermediate word
+    is cached.
+
     >>> tabloid_action_map((1, 1, 1), (2, 1, 3))
     (2, 3, 0, 1, 5, 4)
     """
-    # in the image of a row word, entry y lies in the row that held the x
-    # with word[x - 1] = y
-    back = sorted(range(len(word)), key=word.__getitem__)
-    words, index = _row_words(mu)
-    return tuple([index[tuple(map(w.__getitem__, back))] for w in words])
+    n = sum(mu)
+    if sorted(word) != list(range(1, n + 1)):
+        raise ValueError(f"{word} is not a permutation word of 1..{n}")
+    maps = _transposition_maps(mu)
+    current: Sequence[int] = tuple(_row_words(mu)[1].values())
+    w = list(word)
+    for end in range(n - 1, 0, -1):
+        for j in range(end):
+            if w[j] > w[j + 1]:
+                w[j], w[j + 1] = w[j + 1], w[j]
+                step = maps[j]
+                current = [step[x] for x in current]
+    return tuple(current)
 
 
 @lru_cache(maxsize=None)

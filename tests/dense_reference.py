@@ -3,6 +3,7 @@
 import itertools
 
 from pilattice.lattices import SubmoduleLattice, _clean_rows, split_hnf
+from pilattice.specht import _row_words
 
 
 def intersect(a, b):
@@ -23,6 +24,15 @@ def permute_row(action_map, row):
         if c:
             out[action_map[i]] = c
     return out
+
+
+def built_action_map(mu, word):
+    """The map of ``specht.tabloid_action_map`` built straight from the row
+    words: in the image of a row word, entry y lies in the row that held
+    the x with word[x - 1] = y.  The reference for the composed maps."""
+    back = sorted(range(len(word)), key=word.__getitem__)
+    words, index = _row_words(mu)
+    return tuple([index[tuple(map(w.__getitem__, back))] for w in words])
 
 
 def disjoint_mask_tuples(masks, n):

@@ -187,6 +187,19 @@ def test_snf_frozen():
     assert smith_normal_form([[2, 1, 0], [0, 3, 1], [0, 0, 4]], 3) == [1, 1, 24]
 
 
+def test_snf_splits_unit_pivot_rows_with_tails():
+    """The first Hermite rows (1, 0, -1) and (1, 1, 1) have unit pivots and
+    entries right of them; each is a diagonal 1, and the other rows alone
+    give the rest of the diagonal."""
+    rows = [[1, 2, 3], [0, 2, 4]]
+    assert SubmoduleLattice.from_rows(3, rows).rows == ((1, 0, -1), (0, 2, 4))
+    assert smith_normal_form(rows, 3) == [1, 2]
+    rows = [[1, 1, 1], [0, 4, 2], [0, 0, 6]]
+    assert SubmoduleLattice.from_rows(3, rows).rows[0] == (1, 1, 1)
+    assert smith_normal_form(rows, 3) == [1, 2, 12]
+    assert smith_normal_form([{0: 1, 2: 5}, {1: 3, 2: 1}], 3) == [1, 1]
+
+
 def test_cokernel_frozen():
     inv = cokernel_invariants([[2, 0], [0, 3]], 2)
     assert inv.torsion == (6,) and inv.free_rank == 0
@@ -609,6 +622,18 @@ def test_evaluation_fold_matches_dense_inputs(data):
     functionals, cols, tail = data
     expected = dense_reference.evaluation_fold(functionals, cols, tail)
     assert _evaluation_fold(functionals, cols, tail) == expected
+
+
+@settings(deadline=None)
+@given(fold_inputs)
+def test_image_is_the_cokernel_of_the_kernel(data):
+    """Z^columns / kernel is the image: the value group read off the
+    kernel's Hermite rows, as the codim reports read it, against the
+    heads-only image fold, on mixed moduli with Z among them."""
+    functionals, cols, _ = data
+    kernel = evaluation_kernel(functionals, cols)
+    expected = image_invariants(functionals, cols)
+    assert cokernel_invariants([*kernel.echelon.values()], cols) == expected
 
 
 def test_evaluation_fold_rejects_rows_of_another_length():

@@ -1,5 +1,6 @@
 """Monomial words, commutator expansion, and the proper sublattice."""
 
+import hashlib
 import itertools
 import random
 
@@ -152,6 +153,17 @@ def test_commutator_antisymmetry():
     assert commutator(a, b) == -commutator(b, a)
 
 
+def test_bracket_closed_form_matches_the_commutator_recursion():
+    """[a1, ..., ak] from its closed form against [[a1, a2], ..., ak]
+    multiplied out, for every bracket on 1..k with k <= 6."""
+    for k in range(2, 7):
+        for word in itertools.permutations(range(1, k + 1)):
+            poly = MultilinearPoly.monomial(word[:1])
+            for a in word[1:]:
+                poly = commutator(poly, MultilinearPoly.monomial((a,)))
+            assert bracket_poly(word) == poly
+
+
 @given(perm_strategy(4))
 def test_bracket_expansion_signs(sigma):
     # every left-normed bracket expands with +-1 coefficients, 2^(k-1) terms
@@ -172,6 +184,34 @@ def test_proper_ranks_follow_derangements():
         assert len(basis.elements) == rank
         assert basis.lattice.rank == rank
         assert len(basis.matrix) == rank
+
+
+# sha256 of repr(proper_basis(n).matrix) and of repr(proper_basis(n).lattice.rows)
+PROPER_BASIS_DIGESTS = {
+    1: ("2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+        "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
+    2: ("7db6fcc83d6b0580678349c33b5f0c4b46e6bfa23849e6650ce8dd9d38e2049d",
+        "ea9829744ef8369404bcf91ca3bdd7a88548b55c7b68e226169022c400d41930"),
+    3: ("0b0c01bd79f88829bfbcca7ce533a6a25a6236fe2a5002cf7ed014dc500dfba1",
+        "50ad1ec1f59cb928e8857605faa47ba29c4207360617123fd497f9e3be0dc9b3"),
+    4: ("ebbe3543f8fb22ddbe116e3f18a8bec6ce34a009a97c4c004f6af5c87883d275",
+        "a8b016c2cdeb4a61cc795bc778799ff4240831a7578c50d8c5a91f7a13c6c7de"),
+    5: ("78a7bfbf642b13f24486a16894affd7717ea4d661d6a3317ea72f693e960544a",
+        "94aef6a435582b13d236cfc380a1ec081973bdb378d3a3c07ab9da84d0bdd62a"),
+    6: ("a64da4615d3f8c14da90748cc3a458f5b0c1e5698d3c2c1ca06ae4ef1169c943",
+        "26eebc1bdaececa8d9c358b394c966c535d38260ddeded1363e0b01b3836b84f"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(PROPER_BASIS_DIGESTS))
+def test_proper_basis_digests(n):
+    """The basis rows and their Hermite form, pinned as the commutator
+    recursion gave them before the closed form replaced it."""
+    basis = proper_basis(n)
+    digests = tuple(
+        hashlib.sha256(repr(x).encode()).hexdigest() for x in (basis.matrix, basis.lattice.rows)
+    )
+    assert digests == PROPER_BASIS_DIGESTS[n]
 
 
 def test_proper_basis_is_saturated():

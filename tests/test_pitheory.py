@@ -10,7 +10,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pilattice import pitheory
+from pilattice import pitheory, specht
 from pilattice.lattices import (
     AbelianInvariants, LatticeBuilder, SubmoduleLattice, evaluation_kernel,
     image_invariants,
@@ -197,6 +197,67 @@ def test_one_evaluation_per_model_and_degree(monkeypatch):
     ordinary_codim(model, 4, include_proper=True)
     proper_quotient_pair(model, 4)
     assert calls == [(model, 4)]
+
+
+def test_codim_and_kernel_fold_once_per_degree(monkeypatch):
+    """The ordinary value group is read off the identity lattice, Z^{n!}/K:
+    a codim report with its proper group, then the kernel, folds the
+    ordinary functionals once (``evaluation_kernel``) and the proper ones
+    once (``image_invariants``) at each degree."""
+    calls = []
+    for name in ("evaluation_kernel", "image_invariants"):
+        fold = getattr(pitheory, name)
+        monkeypatch.setattr(
+            pitheory, name,
+            lambda rows, c, name=name, fold=fold: calls.append((name, c)) or fold(rows, c),
+        )
+    for name in ("_invariants", "_kernel"):
+        fresh = lru_cache(maxsize=None)(getattr(pitheory, name).__wrapped__)
+        monkeypatch.setattr(pitheory, name, fresh)
+    model = ut2(2, 2)
+    for n in range(2, 6):
+        calls.clear()
+        ordinary_codim(model, n, include_proper=True)
+        kernel_lattice(model, n)
+        assert sorted(calls) == [
+            ("evaluation_kernel", math.factorial(n)),
+            ("image_invariants", len(proper_basis(n).elements)),
+        ]
+
+
+TORSION_SESSION_KINDS = [cyclic_ring(0), cyclic_ring(5), ut2(0, 0), ut2(3, 3), ut2(6, 3)]
+
+
+@pytest.mark.parametrize("model", TORSION_SESSION_KINDS, ids=lambda model: model.label)
+def test_ordinary_value_group_is_the_image(model):
+    """Z^{n!}/K, the codim route, against the image of the ordinary
+    functionals, for each kind of model of the torsion session."""
+    for n in range(1, 6):
+        rows = pitheory._rows(model, n, False)
+        image = image_invariants(rows, math.factorial(n))
+        assert ordinary_codim(model, n).ordinary == image
+
+
+def test_walk_builds_only_the_transposition_maps(monkeypatch):
+    """Every position map of the n = 5 walk is composed from the maps of
+    the four adjacent transpositions, the only maps built from the row
+    words; caches are fresh, and the rows are the cached walk's."""
+    built = []
+    build = specht._transposition_maps.__wrapped__
+
+    def counting(mu):
+        maps = build(mu)
+        built.extend(maps)
+        return maps
+
+    monkeypatch.setattr(specht, "_transposition_maps", lru_cache(maxsize=None)(counting))
+    fresh = lru_cache(maxsize=None)(specht.tabloid_action_map.__wrapped__)
+    monkeypatch.setattr(pitheory, "tabloid_action_map", fresh)
+    model = ut2(2, 2)
+    rows = pitheory.evaluation_functionals(model, 5)
+    assert fresh.cache_info().currsize > 4
+    assert 0 < len(built) <= 4
+    assert tuple(rows) == pitheory._rows(model, 5, False)
 
 
 def proper_rows_by_substitution(model, n):

@@ -46,7 +46,7 @@ from pilattice.specht import (
 from pilattice.lattices import AbelianInvariants, SubmoduleLattice
 from pilattice.multilinear import MultilinearPoly, monomial_order
 
-from dense_reference import permute_row
+from dense_reference import built_action_map, permute_row
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +210,27 @@ def test_singleton_tabloid_action_renames_monomials(data):
     f = MultilinearPoly.from_vector(data.draw(coeffs), n)
     mapped = permute_row(tabloid_action_map((1,) * n, word), f.to_vector(n))
     assert mapped == f.act(word).to_vector(n)
+
+
+@pytest.mark.parametrize(
+    "mu", [*((1,) * n for n in range(1, 7)), (2, 1, 2), (3, 2, 1), (2, 2, 2)], ids=str
+)
+def test_composed_action_maps_equal_the_built_ones(mu):
+    """Every word's map, composed from the adjacent transpositions' maps
+    (uncached here), against the map built from the row words."""
+    compose = tabloid_action_map.__wrapped__
+    for word in itertools.permutations(range(1, sum(mu) + 1)):
+        assert compose(mu, word) == built_action_map(mu, word)
+
+
+@pytest.mark.parametrize(
+    "mu, word",
+    [((1, 1, 1), (1, 1, 2)), ((1, 1, 1), (2, 2, 1)), ((1, 1, 1), (1, 2)),
+     ((1, 1, 1), (1, 2, 3, 4)), ((2, 1), (0, 1, 2)), ((2, 1), (1, 2, 4))],
+)
+def test_tabloid_action_map_rejects_words_that_are_not_permutations(mu, word):
+    with pytest.raises(ValueError, match="permutation"):
+        tabloid_action_map(mu, word)
 
 
 def test_cached_action_maps_share_their_index_ints():
