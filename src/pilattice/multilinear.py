@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
-from .lattices import LatticeBuilder, SubmoduleLattice, preimage, split_hnf
+from .lattices import Sparse, SubmoduleLattice, _hermite, _reduce
 
 Word = tuple[int, ...]
 
@@ -117,7 +117,7 @@ class MultilinearPoly:
         )
 
     def __hash__(self):
-        return hash((self.variables, tuple(sorted(self.terms.items()))))
+        return hash(tuple(sorted(self.terms.items())))
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -305,15 +305,9 @@ def _blockwise_partitions(elems: tuple[int, ...]) -> Iterator[tuple[Word, ...]]:
 
 
 def _block_brackets(block: Word) -> list[Word]:
-    """Basis brackets for one block: minimum in the second slot, any other
-    element first, the rest in any order -- (k-1)! left-normed brackets."""
-    mn, others = block[0], block[1:]
-    out = []
-    for first in others:
-        rest = tuple(x for x in others if x != first)
-        for perm in itertools.permutations(rest):
-            out.append((first, mn) + perm)
-    return out
+    """Basis brackets for one block: the minimum first, the rest in any
+    order -- (k-1)! left-normed brackets."""
+    return [block[:1] + perm for perm in itertools.permutations(block[1:])]
 
 
 def _candidate_brackets(block: Word) -> list[Word]:
@@ -325,20 +319,24 @@ def _candidate_brackets(block: Word) -> list[Word]:
 class ProperBasis:
     """Integral basis of the lattice of degree-n proper polynomials.
 
-    ``elements[i]`` expands to the row ``matrix[i]`` in the lexicographic
-    monomial order; the rows form a basis of ``lattice``, which is verified
-    at construction to be saturated and to equal the span of *all*
-    commutator products."""
+    ``elements[i]`` expands to the {column: value} row ``matrix[i]`` in the
+    lexicographic monomial order.  Each row holds 1 at its least column,
+    which is no other row's least, so the rows are a unitriangular basis
+    of ``lattice``, and it is a direct summand."""
 
     n: int
     elements: tuple[CommutatorWord, ...]
-    matrix: tuple[tuple[int, ...], ...]
+    matrix: tuple[Sparse, ...]
     lattice: SubmoduleLattice
 
     def coordinates(self, poly: MultilinearPoly) -> list[int] | None:
         """Coefficients of ``poly`` over ``elements``, or None if the
         polynomial is not in the proper lattice."""
-        return preimage(_proper_solver(self.n), poly.to_vector(self.n))
+        quotients: Sparse = {}
+        row = {c: x for c, x in enumerate(poly.to_vector(self.n)) if x}
+        if _reduce(row, {min(r): r for r in self.matrix}, quotients=quotients):
+            return None
+        return [quotients.get(min(r), 0) for r in self.matrix]
 
     def contains(self, poly: MultilinearPoly) -> bool:
         return self.lattice.contains(poly.to_vector(self.n))
@@ -348,41 +346,45 @@ class ProperBasis:
 def proper_basis(n: int) -> ProperBasis:
     """Basis of the proper sublattice of the degree-n component.
 
-    Ranks follow the derangement numbers: 0, 1, 2, 9, 44, 265 for
-    n = 1..6.  Construction is checked two ways: the chosen products must
-    be independent, and their span must equal the span of all first-two-
-    descending bracket products (with all Hermite pivots 1, i.e. the
-    lattice is a direct summand).
+    Ranks follow the derangement numbers: 0, 1, 2, 9, 44, 265 for n = 1..6.
+    Each element is a product of brackets [m, ...] led by their block
+    minima m, in decreasing m: its row is its own word w plus lex-larger
+    words, and the minima are the left-to-right minima of w.  Spanning is
+    checked per block size, as every bracket on 1..n reducing to zero: a
+    product follows, since swapping two blocks adds a Lie element on both.
+
+    >>> [str(e) for e in proper_basis(3).elements]
+    ['[x1,x2,x3]', '[x1,x3,x2]']
+    >>> str(proper_basis(4).elements[0])
+    '[x3,x4][x1,x2]'
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
     elems: list[CommutatorWord] = []
-    for part in _blockwise_partitions(tuple(range(1, n + 1))):
-        for combo in itertools.product(*map(_block_brackets, part)):
+    rows: dict[int, Sparse] = {}
+    for part in _blockwise_partitions(identity_word(n)):
+        for combo in itertools.product(*map(_block_brackets, part[::-1])):
+            row = _product_row(combo, n)
+            lead = min(row)
+            if row[lead] != 1 or lead in rows:
+                raise AssertionError(f"proper basis is not unitriangular at n={n}: {combo}")
             elems.append(CommutatorWord((), combo))
-    dim = len(monomial_order(n))
-    rows = [_product_row(e.brackets, n) for e in elems]
-    chosen = LatticeBuilder(dim, rows)
-    if chosen.rank() != len(elems):
-        raise AssertionError(f"selected commutator products are dependent at n={n}")
-    for part in _blockwise_partitions(tuple(range(1, n + 1))):
-        for combo in itertools.product(*map(_candidate_brackets, part)):
-            if not chosen.contains(_product_row(combo, n)):
-                raise AssertionError(
-                    f"bracket product outside the selected span at n={n}: {combo}"
-                )
-    lattice = chosen.snapshot()
-    if not lattice.is_saturated():
-        raise AssertionError(f"proper lattice is not a direct summand at n={n}")
-    return ProperBasis(n, tuple(elems), tuple(tuple(r) for r in rows), lattice)
+            rows[lead] = row
+    if n > 1:
+        proper_basis(n - 1)  # checks the brackets of each smaller size
+        for br in _candidate_brackets(identity_word(n)):
+            if _reduce(_product_row((br,), n), rows):
+                raise AssertionError(f"bracket {br} outside the proper basis span")
+    lattice = _hermite(len(monomial_order(n)), rows)
+    return ProperBasis(n, tuple(elems), tuple(rows.values()), lattice)
 
 
-def _product_row(brackets: tuple[Word, ...], n: int) -> list[int]:
-    """The row of the product of left-normed brackets whose entries are
-    1..n, each once: one entry per choice of a term of each bracket, since
-    the concatenated words are distinct."""
+def _product_row(brackets: tuple[Word, ...], n: int) -> Sparse:
+    """The {column: value} row of the product of left-normed brackets whose
+    entries are 1..n, each once: one entry per choice of a term of each
+    bracket, since the concatenated words are distinct."""
     index = _monomial_index(n)
-    row = [0] * len(index)
+    row = {}
     for factors in itertools.product(*map(_bracket_terms, brackets)):
         word: Word = ()
         coeff = 1
@@ -391,15 +393,6 @@ def _product_row(brackets: tuple[Word, ...], n: int) -> list[int]:
             coeff *= c
         row[index[word]] = coeff
     return row
-
-
-@lru_cache(maxsize=None)
-def _proper_solver(n: int) -> LatticeBuilder:
-    """The fold of the rows [basis row i | e_i], which lifts a proper
-    vector to its coordinates."""
-    matrix = proper_basis(n).matrix
-    units = ([int(i == j) for j in range(len(matrix))] for i in range(len(matrix)))
-    return split_hnf(zip(matrix, units), len(monomial_order(n)), len(matrix))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -255,7 +255,10 @@ def _rows(model: RingModel, n: int, proper: bool) -> tuple[Functional, ...]:
     # coefficient) pairs it feeds, so a row adds only its nonzero entries.
     # Zero and repeated rows are left to the lattice layer
     basis = proper_basis(n).matrix
-    table = [[(k, b[i]) for k, b in enumerate(basis) if b[i]] for i in range(_columns(n, False))]
+    table: list[list[tuple[int, int]]] = [[] for _ in range(_columns(n, False))]
+    for k, b in enumerate(basis):
+        for i, c in b.items():
+            table[i].append((k, c))
     out = []
     for row, m in _rows(model, n, False):
         acc = [0] * len(basis)
@@ -430,12 +433,14 @@ def _proper_character(model: RingModel, t: int) -> tuple[int, ...]:
     # c -> c B is an S_t-equivariant isomorphism of the proper coordinates
     # onto the proper lattice P, so P / (kernel B) has the same character
     basis = proper_basis(t)
-    columns = list(zip(*basis.matrix))
-    carried = (
-        [sum(x * col[k] for k, x in c.items()) for col in columns]
-        for c in _kernel(model, t, True).echelon.values()
-    )
-    kernel = SubmoduleLattice.from_rows(len(columns), carried)
+    carried = []
+    for c in _kernel(model, t, True).echelon.values():
+        row: dict[int, int] = {}
+        for k, x in c.items():
+            for i, b in basis.matrix[k].items():
+                row[i] = row.get(i, 0) + x * b
+        carried.append(row)
+    kernel = SubmoduleLattice.from_rows(basis.lattice.ambient, carried)
     return rational_character(basis.lattice, kernel, (1,) * t)
 
 
@@ -714,10 +719,7 @@ def _drensky(model: RingModel, n: int) -> DrenskyReport:
     # (x_1 ... x_{n-t}) * (proper basis element on the last t variables)
     levels = {n + 1: kernel}
     for t in range(n, 1, -1):
-        seeds = [
-            _placed(n, MultilinearPoly.from_vector(row, t), n - t, (1,) * t)
-            for row in proper_basis(t).matrix
-        ]
+        seeds = [_placed(n, e.expand(), n - t, (1,) * t) for e in proper_basis(t).elements]
         levels[t] = orbit_span(dim, seeds, maps, stable=levels[t + 1].echelon.values())
     head = SubmoduleLattice.full(dim).quotient_invariants(levels[2])
     head_expected = cyclic_invariants(model.characteristic())

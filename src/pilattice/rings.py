@@ -432,30 +432,27 @@ def commutator_element(a: RingElement, b: RingElement) -> RingElement:
 def evaluate(poly: MultilinearPoly, elements: Sequence[RingElement]) -> RingElement:
     """Substitute elements[i-1] for x_i and expand.
 
-    Degree-0 polynomials evaluate through the unit, so the model must be
-    unital in that case.
+    The elements must belong to one model.  Degree-0 polynomials evaluate
+    through the unit, so the model must be unital in that case.
     """
-    if not elements and poly.degree:
+    if not elements:
         raise ValueError("no elements supplied")
-    model = elements[0].model if elements else None
+    model = elements[0].model
+    if any(e.model is not model for e in elements):
+        raise ValueError("elements belong to different ring models")
     if any(v > len(elements) for v in poly.variables):
         raise ValueError("polynomial uses more variables than elements supplied")
+    values = [e.sparse() for e in elements]
     total: Sparse = {}
-    moduli = None
     for word, coeff in poly.terms.items():
-        if not word:
-            unit_elt = model.one if model is not None else None
-            if unit_elt is None:
-                raise ValueError("degree-0 evaluation needs a unital model")
-            value = unit_elt.sparse()
-        else:
-            value = elements[word[0] - 1].sparse()
+        if word:
+            value = values[word[0] - 1]
             for v in word[1:]:
-                value = model.mul_sparse(value, elements[v - 1].sparse())
+                value = model.mul_sparse(value, values[v - 1])
+        else:
+            value = model.one.sparse()
         for k, c in value.items():
             total[k] = total.get(k, 0) + coeff * c
-    if model is None:
-        raise ValueError("cannot evaluate a scalar without a model")
     vec = [0] * model.rank
     for k, c in total.items():
         vec[k] = c

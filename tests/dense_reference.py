@@ -3,6 +3,7 @@
 import itertools
 
 from pilattice.lattices import SubmoduleLattice, _clean_rows, split_hnf
+from pilattice.multilinear import CommutatorWord, _blockwise_partitions, identity_word
 from pilattice.specht import _row_words
 
 
@@ -46,11 +47,30 @@ def disjoint_mask_tuples(masks, n):
     ]
 
 
+def proper_basis_rows(n):
+    """The dense rows of the proper basis as ``proper_basis`` chose it
+    before its basis was unitriangular: in each block, the minimum second
+    after any other element, the rest in any order, and the blocks
+    ordered by minimum.  The reference for its lattice."""
+    rows = []
+    for part in _blockwise_partitions(identity_word(n)):
+        per_block = [
+            [(first, block[0]) + perm
+             for first in block[1:]
+             for perm in itertools.permutations([x for x in block[1:] if x != first])]
+            for block in part
+        ]
+        for combo in itertools.product(*per_block):
+            rows.append(tuple(CommutatorWord((), combo).expand().to_vector(n)))
+    return tuple(rows)
+
+
 def proper_rows(ordinary_rows, basis):
-    """Each ordinary functional restricted to the proper basis, one sum
-    over a basis element's nonzero coefficients per entry: the dense
-    reference for the projection of ``pitheory._rows(model, n, True)``."""
-    basis = [[(i, c) for i, c in enumerate(b) if c] for b in basis]
+    """Each ordinary functional restricted to the proper basis, given by
+    its {column: value} rows, one sum over a basis element's nonzero
+    coefficients per entry: the dense reference for the projection of
+    ``pitheory._rows(model, n, True)``."""
+    basis = [list(b.items()) for b in basis]
     return tuple(
         (tuple(sum(c * row[i] for i, c in b) for b in basis), m)
         for row, m in ordinary_rows

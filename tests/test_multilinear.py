@@ -7,9 +7,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pilattice.lattices import SubmoduleLattice
 from pilattice.multilinear import (
     CommutatorWord,
     MultilinearPoly,
+    _blockwise_partitions,
+    _candidate_brackets,
     bracket_poly,
     commutator,
     compose,
@@ -20,6 +23,8 @@ from pilattice.multilinear import (
     proper_basis,
     recompose,
 )
+
+from dense_reference import proper_basis_rows
 
 # derangement numbers: rank of the proper sublattice in degrees 1..5
 PROPER_RANKS = {1: 0, 2: 1, 3: 2, 4: 9, 5: 44}
@@ -85,6 +90,14 @@ def test_poly_arithmetic_frozen():
     q = MultilinearPoly.monomial((3,))
     assert (p * q).terms == {(1, 2, 3): 1, (2, 1, 3): -1}
     assert p.degree == 2 and (p * q).degree == 3
+
+
+def test_equal_polynomials_hash_equal():
+    """The zero polynomial equals itself on any variable set, so its hash
+    must not depend on the variables."""
+    a, b = MultilinearPoly.zero(range(1, 3)), MultilinearPoly.zero(range(1, 4))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
 
 
 def test_vector_roundtrip_frozen():
@@ -186,7 +199,8 @@ def test_proper_ranks_follow_derangements():
         assert len(basis.matrix) == rank
 
 
-# sha256 of repr(proper_basis(n).matrix) and of repr(proper_basis(n).lattice.rows)
+# sha256 of repr(proper_basis_rows(n)), the reference rows, and of
+# repr(proper_basis(n).lattice.rows)
 PROPER_BASIS_DIGESTS = {
     1: ("2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
         "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
@@ -205,13 +219,76 @@ PROPER_BASIS_DIGESTS = {
 
 @pytest.mark.parametrize("n", sorted(PROPER_BASIS_DIGESTS))
 def test_proper_basis_digests(n):
-    """The basis rows and their Hermite form, pinned as the commutator
-    recursion gave them before the closed form replaced it."""
-    basis = proper_basis(n)
+    """The reference rows and the Hermite form of the proper lattice,
+    pinned as the commutator recursion gave them before the closed form
+    replaced it."""
     digests = tuple(
-        hashlib.sha256(repr(x).encode()).hexdigest() for x in (basis.matrix, basis.lattice.rows)
+        hashlib.sha256(repr(x).encode()).hexdigest()
+        for x in (proper_basis_rows(n), proper_basis(n).lattice.rows)
     )
     assert digests == PROPER_BASIS_DIGESTS[n]
+
+
+# sha256 of repr(proper_basis(n).matrix), the unitriangular {column: value} rows
+PROPER_MATRIX_DIGESTS = {
+    1: "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+    2: "3e7bed4cff9da8e3d78fef927996795fe237c61881670ce0a55e44a674c21a7b",
+    3: "fdca84609eb4cc13dc17aaef91181f204abcf13405d5be3e73dfaa482f7399d8",
+    4: "809481eafc41be303d0b990dfa5c3860d18da15645d342f76b3c49fb4f43d1df",
+    5: "bc508bb0186e199133e2b68f1d74dafaa8cc31037dc70704bb76b3f1fa68fcb5",
+    6: "a4dcc4faadbfda8d7abdcf349103400049f945dec6edb61a93ae896ab557e6f2",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PROPER_MATRIX_DIGESTS))
+def test_proper_matrix_digests(n):
+    digest = hashlib.sha256(repr(proper_basis(n).matrix).encode()).hexdigest()
+    assert digest == PROPER_MATRIX_DIGESTS[n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_proper_lattice_matches_the_reference_rows(n):
+    expected = SubmoduleLattice.from_rows(len(monomial_order(n)), proper_basis_rows(n))
+    assert proper_basis(n).lattice == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_proper_basis_is_unitriangular(n):
+    """Each element's row is its expansion, led by its own word with
+    coefficient 1; the blocks lead with their minima, which are the
+    left-to-right minima of that word; and no two rows share a lead."""
+    basis = proper_basis(n)
+    order = monomial_order(n)
+    leads = set()
+    for elem, row in zip(basis.elements, basis.matrix):
+        assert row == {c: x for c, x in enumerate(elem.expand().to_vector(n)) if x}
+        lead = min(row)
+        word = order[lead]
+        assert row[lead] == 1 and word == sum(elem.brackets, ())
+        minima = [x for i, x in enumerate(word) if x == min(word[: i + 1])]
+        assert minima == [br[0] for br in elem.brackets] == [min(br) for br in elem.brackets]
+        leads.add(lead)
+    assert len(leads) == len(basis.elements) == len(basis.matrix)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_every_bracket_product_has_proper_coordinates(n):
+    """Each product of first-two-descending brackets, blocks ordered by
+    minimum, is an integer combination of the basis: the span check the
+    basis made over the whole component before it was checked per block."""
+    basis = proper_basis(n)
+    for part in _blockwise_partitions(identity_word(n)):
+        for combo in itertools.product(*map(_candidate_brackets, part)):
+            poly = CommutatorWord((), combo).expand()
+            coords = basis.coordinates(poly)
+            assert coords is not None
+            total: dict = {}
+            for c, row in zip(coords, basis.matrix):
+                for k, x in row.items():
+                    total[k] = total.get(k, 0) + c * x
+            assert {k: x for k, x in total.items() if x} == {
+                k: x for k, x in enumerate(poly.to_vector(n)) if x
+            }
 
 
 def test_proper_basis_is_saturated():
@@ -231,14 +308,18 @@ def test_proper_membership_frozen():
 
 
 def test_proper_coordinates_reconstruct():
-    basis = proper_basis(4)
     rng = random.Random(7)
-    for _ in range(25):
-        coeffs = [rng.randint(-4, 4) for _ in basis.elements]
-        total = MultilinearPoly.zero(range(1, 5))
-        for c, elem in zip(coeffs, basis.elements):
-            total = total + c * elem.expand()
-        assert basis.coordinates(total) == coeffs
+    for n in (2, 3, 4, 5, 6):
+        basis = proper_basis(n)
+        expansions = [elem.expand() for elem in basis.elements]
+        for _ in range(25):
+            coeffs = [rng.randint(-4, 4) for _ in basis.elements]
+            terms: dict = {}
+            for c, poly in zip(coeffs, expansions):
+                for w, x in poly.terms.items():
+                    terms[w] = terms.get(w, 0) + c * x
+            total = MultilinearPoly(terms, range(1, n + 1))
+            assert basis.coordinates(total) == coeffs
 
 
 @given(perm_strategy(4))

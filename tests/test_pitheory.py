@@ -831,7 +831,7 @@ def test_proper_kernel_is_renaming_stable():
     assert outer.rank == 9
     basis = proper_basis(4)
     carried = [
-        [sum(c * b[k] for c, b in zip(row, basis.matrix)) for k in range(24)]
+        [sum(c * b.get(k, 0) for c, b in zip(row, basis.matrix)) for k in range(24)]
         for row in inner.rows
     ]
     for word in monomial_order(4):

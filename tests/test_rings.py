@@ -490,6 +490,17 @@ def test_evaluate_matches_direct_commutator():
     assert evaluate(bracket_poly((1, 2)), [a, b]) == commutator_element(a, b)
 
 
+def test_evaluate_rejects_elements_of_different_models():
+    """Substitution raises, as the product does, when the elements come
+    from different models: ut2 with other moduli, or a cyclic ring."""
+    a = ut2(2, 2).basis_element(0)
+    for b in (ut2(0, 0).basis_element(2), cyclic_ring(5).one):
+        with pytest.raises(ValueError, match="different ring models"):
+            a * b
+        with pytest.raises(ValueError, match="different ring models"):
+            evaluate(bracket_poly((1, 2)), [a, b])
+
+
 @given(coords3, coords3, coords3)
 def test_evaluate_triple_bracket_ut2(ca, cb, cc):
     r = ut2(4, 2)
