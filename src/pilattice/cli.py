@@ -216,7 +216,7 @@ def cmd_codim(args) -> int:
     degrees = parse_n_range(args.n)
     if args.q is not None:
         AbelianInvariants((), 0).codim(args.q)  # reject a bad q before evaluating
-    _guard([(model, n, None) for n in degrees], row_budget=args.row_budget)
+    _guard([(model, n) for n in degrees], args.row_budget)
     config = RunConfig(
         command="codim", ring=args.ring, n=degrees, q=args.q, k=args.k,
         output=args.output, format=args.format, seed=args.seed,

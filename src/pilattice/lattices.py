@@ -6,7 +6,8 @@ preimages: the value group and the identity lattice of an evaluation map
 with mixed cyclic target moduli come off one fold, and the Smith diagonal
 from alternating folds.  One kernel, ``_reduce``, reduces every row over
 Z: the fold's steps, membership, coordinates, traces and the Hermite form
-all go through it.  Only ``field_rank``'s mod-p check works apart.
+all go through it, and so does ``field_rank``, which reads its mod-p rank
+off the Smith diagonal.
 
 Vectors are rows throughout; a lattice is the row span of a matrix, and a
 map acts on the right (``v @ M``).  Matrices are plain ``list[list[int]]``;
@@ -390,7 +391,7 @@ def preimage(whole: LatticeBuilder, u: Row | Sparse, head: int | None = None) ->
     return [-v.get(c, 0) for c in range(head, whole.ambient)]
 
 
-def smith_normal_form(rows: Sequence[Row | Sparse], ambient: int) -> list[int]:
+def smith_normal_form(rows: Iterable[Row | Sparse], ambient: int) -> list[int]:
     """Diagonal of the Smith normal form: d_1 | d_2 | ... | d_r, all > 0.
 
     ``rows`` are relations in Z^ambient; only the nonzero diagonal is
@@ -660,35 +661,21 @@ def evaluation_kernel(rows: Iterable[tuple[Row, int]], columns: int) -> Submodul
     return _evaluation_fold(rows, columns, columns)[2]
 
 
-def field_rank(rows: Iterable[Row], columns: int, q: int = 0) -> int:
-    """Rank of the matrix over Q (q = 0) or over F_q (q prime).
+def field_rank(rows: Iterable[Row | Sparse], columns: int, q: int = 0) -> int:
+    """Rank of the matrix over Q (q = 0) or over F_q (q prime): the length
+    of its Smith diagonal over Q, and over F_q the number of diagonal
+    entries prime to q, since the unimodular transforms to the Smith form
+    stay invertible mod q.
 
     >>> field_rank([[2, 4], [1, 2]], 2)
     1
     >>> field_rank([[2, 4], [1, 3]], 2, q=2)
     1
     """
-    if q == 0:
-        return LatticeBuilder(columns, rows).rank()
-    if q < 2 or _prime_power_base(q) != q:
+    if q and _prime_power_base(q) != q:
         raise ValueError(f"q must be 0 or prime, got {q}")
-    reduced: list[list[int]] = []
-    pivots: list[int] = []
-    for row in rows:
-        s = _sparse(row, columns)
-        v = [s.get(c, 0) % q for c in range(columns)]
-        for r, p in zip(reduced, pivots):
-            if v[p]:
-                f = v[p] * pow(r[p], -1, q) % q
-                v = [(a - f * b) % q for a, b in zip(v, r)]
-        j = next((c for c in range(columns) if v[c]), None)
-        if j is not None:
-            reduced.append(v)
-            pivots.append(j)
-            order = sorted(range(len(pivots)), key=pivots.__getitem__)
-            reduced = [reduced[i] for i in order]
-            pivots = [pivots[i] for i in order]
-    return len(reduced)
+    diagonal = smith_normal_form(rows, columns)
+    return sum(1 for d in diagonal if d % q) if q else len(diagonal)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from typing import Callable, Iterable, Sequence
 from .lattices import (
     AbelianInvariants,
     SubmoduleLattice,
+    _prime_power_base,
     cokernel_invariants,
     evaluation_kernel,
     field_rank,
@@ -86,36 +87,39 @@ class BudgetExceeded(RuntimeError):
 
 
 def degree_bound(model: RingModel) -> int:
-    """Default cap on n: exterior models pay 2^K in rank, the others n!."""
+    """The default ``n_max`` of ``verify_proper_ordinary``: 4 for exterior
+    models, 5 for the others.  A default range only; ``_guard`` accepts
+    every degree up to ``specht.MAX_DEGREE``."""
     return GRASSMANN_N_MAX if model.family == "grassmann" else GENERAL_N_MAX
 
 
+def _check_degrees(degrees: Iterable[int]) -> None:
+    """The one degree rule: 1 <= n <= ``specht.MAX_DEGREE`` for every n,
+    the highest degree out of range named first.  No model lifts the
+    ceiling, since the row budget does not count the n! columns."""
+    degrees = sorted(degrees)
+    if degrees:
+        check_tabloid_degree(degrees[-1])
+        if degrees[0] < 1:
+            raise ValueError(
+                f"degree n={degrees[0]} is below 1; multilinear degrees start at 1"
+            )
+
+
 def _guard(
-    caps: Iterable[tuple[RingModel, int, int | None]],
-    evaluations: Iterable[tuple[RingModel, int]] | None = None,
-    row_budget: int | None = None,
+    evaluations: Iterable[tuple[RingModel, int]], row_budget: int | None = None
 ) -> None:
     """The front door of every request, run before any evaluation or cache
     lookup, so the outcome never depends on what an earlier call computed.
 
-    Each (model, n, bound) of ``caps`` must have 1 <= n <= bound (the
-    model's ``degree_bound`` when bound is None) and n at most
-    ``specht.MAX_DEGREE``, which no bound lifts, since the row budget does
-    not count the n! columns; the highest degree over its cap is named
-    first.  Only then is each (model, n) of ``evaluations`` (by default the
-    pairs of ``caps``) charged one candidate row per ring coordinate of
-    every generator tuple, in order, against the row budget."""
-    caps = list(caps)
-    for model, n, bound in sorted(caps, key=lambda cap: -cap[1]):
-        check_tabloid_degree(n)
-        bound = degree_bound(model) if bound is None else bound
-        if n > bound:
-            raise ValueError(f"n={n} exceeds the configured bound {bound} for {model.label}")
-    for _, n, _ in caps:
-        if n < 1:
-            raise ValueError(f"degree n={n} is below 1; multilinear degrees start at 1")
+    Every degree of the (model, n) ``evaluations`` must pass
+    ``_check_degrees``; nothing else rejects a degree.  Only then is each
+    (model, n) charged one candidate row per ring coordinate of every
+    generator tuple, in order, against the row budget."""
+    evaluations = list(evaluations)
+    _check_degrees(n for _, n in evaluations)
     budget = DEFAULT_ROW_BUDGET if row_budget is None else row_budget
-    for model, n in [cap[:2] for cap in caps] if evaluations is None else evaluations:
+    for model, n in evaluations:
         needed = tuple_count(model, n) * model.rank
         if needed > budget:
             raise BudgetExceeded(model.label, n, needed, budget)
@@ -345,13 +349,13 @@ def ordinary_codim(
     n: int,
     *,
     include_proper: bool = False,
-    n_bound: int | None = None,
     row_budget: int | None = None,
 ) -> CodimReport:
     """Invariants of the group of degree-n values of the model (the
     degree-n component of the free ring modulo the model's identities).
-    Degrees above ``degree_bound(model)`` need an explicit ``n_bound=``."""
-    _guard([(model, n, n_bound)], row_budget=row_budget)
+    Any degree 1 <= n <= ``specht.MAX_DEGREE`` is accepted; the row
+    budget decides whether it runs."""
+    _guard([(model, n)], row_budget)
     t0 = time.perf_counter()
     inv = _invariants(model, n, False)
     prop = _proper_invariants(model, n) if include_proper else None
@@ -363,14 +367,13 @@ def proper_codim(
     model: RingModel,
     n: int,
     *,
-    n_bound: int | None = None,
     row_budget: int | None = None,
 ) -> AbelianInvariants:
     """Invariants of the group of degree-n proper values: the unit
     subgroup in degree 0, zero in degree 1, and for n >= 2 the image of
     the commutator-product lattice under all substitutions."""
     if n not in (0, 1):
-        _guard([(model, n, n_bound)], row_budget=row_budget)
+        _guard([(model, n)], row_budget)
     return _proper_invariants(model, n)
 
 
@@ -386,11 +389,10 @@ def kernel_lattice(
     model: RingModel,
     n: int,
     *,
-    n_bound: int | None = None,
     row_budget: int | None = None,
 ) -> SubmoduleLattice:
     """The degree-n identity lattice of the model inside Z^{n!}."""
-    _guard([(model, n, n_bound)], row_budget=row_budget)
+    _guard([(model, n)], row_budget)
     return _kernel(model, n, False)
 
 
@@ -398,7 +400,6 @@ def proper_quotient_pair(
     model: RingModel,
     n: int,
     *,
-    n_bound: int | None = None,
     row_budget: int | None = None,
 ) -> tuple[SubmoduleLattice, SubmoduleLattice]:
     """(everything, identities) in the coordinates of the proper basis;
@@ -406,7 +407,7 @@ def proper_quotient_pair(
     with B = ``proper_basis(n).matrix``, carries both S_n-equivariantly
     into the monomial columns, where ``tabloid_action_map((1,) * n, word)``
     acts."""
-    _guard([(model, n, n_bound)], row_budget=row_budget)
+    _guard([(model, n)], row_budget)
     return SubmoduleLattice.full(_columns(n, True)), _kernel(model, n, True)
 
 
@@ -417,14 +418,14 @@ def proper_quotient_pair(
 def proper_quotient_character(
     model: RingModel,
     t: int,
-    n_bound: int | None = None,
+    *,
     row_budget: int | None = None,
 ) -> tuple[int, ...]:
     """Rational character of the degree-t proper value group, one value
     per cycle type in ``partitions(t)`` order."""
     if t == 1:
         return tuple(0 for _ in partitions(1))
-    _guard([(model, t, n_bound)], row_budget=row_budget)
+    _guard([(model, t)], row_budget)
     return _proper_character(model, t)
 
 
@@ -493,9 +494,9 @@ def verify_proper_ordinary(
 ) -> list[VerificationOutcome]:
     """Check that the degree-n value group is the direct sum of
     binomial(n, j) copies of the degree-j proper value group over
-    j = 0..n; unital models only.  An explicit ``n_max`` overrides the
-    family degree bound, up to the symmetric-group ceiling
-    ``specht.MAX_DEGREE`` (7); a higher one is rejected before any work."""
+    j = 0..n; unital models only.  ``n_max`` defaults to
+    ``degree_bound(model)``; any value up to ``specht.MAX_DEGREE`` (7) is
+    honoured, and a higher one is rejected before any work."""
     n_max = degree_bound(model) if n_max is None else n_max
     return _proper_ordinary([model], n_max, row_budget)
 
@@ -506,7 +507,7 @@ def _proper_ordinary(
     if any(model.unit is None for model in models):
         raise ValueError("the ordinary/proper bridge needs a unital model")
     degrees = range(1, n_max + 1)
-    _guard([(model, n, n_max) for model in models for n in degrees], row_budget=row_budget)
+    _guard([(model, n) for model in models for n in degrees], row_budget)
     out = []
     for model in models:
         gammas = [_proper_invariants(model, j) for j in range(n_max + 1)]
@@ -689,9 +690,7 @@ def _induced_character(model: RingModel, t: int, n: int) -> tuple[int, ...]:
     return tuple(values)
 
 
-def drensky_filtration(
-    model: RingModel, n: int, n_bound: int | None = None
-) -> DrenskyReport:
+def drensky_filtration(model: RingModel, n: int) -> DrenskyReport:
     """Filtration of the degree-n value group by minimal proper degree.
 
     Level t is spanned, modulo identities, by the renaming orbit of
@@ -702,7 +701,8 @@ def drensky_filtration(
     character (computed directly on the filtration, and independently
     via the induction formula).
     """
-    _guard([(model, n, n_bound)], [(model, t) for t in range(2, n + 1)])
+    _check_degrees([n])
+    _guard([(model, t) for t in range(2, n + 1)])
     return _drensky(model, n)
 
 
@@ -786,7 +786,7 @@ def verify_ut2(
     label = model.label
     basis = ut2_identity_basis(ell, m)
     degrees = sorted({f.degree for f in basis} | set(range(2, n_max + 1)))
-    _guard([(model, n, None) for n in degrees], row_budget=row_budget)
+    _guard([(model, n) for n in degrees], row_budget)
     out = [
         _outcome(
             "ut2.codim", f"{label} identities vanish", None,
@@ -885,18 +885,17 @@ def verify_grassmann(
     truncation K = n+1 with K vs K+1 stabilization, the identity basis,
     the alternating proper quotients (zero in odd degree) in degrees
     2..proper_n_max, and the hook-rank accounting for the codimension
-    total.  A ``proper_n_max`` above ``GENERAL_N_MAX`` is rejected before
-    any work."""
+    total.  Every degree, ``proper_n_max``'s included, meets the one
+    degree rule before any model is built, and then the row budget."""
     out: list[VerificationOutcome] = []
     label = f"grassmann({ell},*)"
-    basis = grassmann_identity_basis(ell)
-    probe = grassmann(ell, 5)
     degrees = range(2, n_max + 1)
     proper_degrees = range(2, proper_n_max + 1)
-    # the probe carries the family caps; the truncations are built only
-    # once those caps have passed
+    # the models are built only once their degrees have passed
+    _check_degrees([n_max, *proper_degrees])
+    basis = grassmann_identity_basis(ell)
+    probe = grassmann(ell, 5)
     _guard(
-        [(probe, n_max, None), *((probe, t, GENERAL_N_MAX) for t in proper_degrees)],
         itertools.chain(
             ((probe, f.degree) for f in basis),
             ((grassmann(ell, n + k), n) for n in degrees for k in (1, 2)),
@@ -1002,11 +1001,8 @@ def _field_props(
 ) -> list[VerificationOutcome]:
     primes = [_field_characteristic(model) for model in models]
     degrees = range(1, n_max + 1)
-    _guard(
-        [(model, n_max, None) for model in models],
-        [(model, n) for model in models for n in degrees],
-        row_budget,
-    )
+    _check_degrees([n_max])
+    _guard([(model, n) for model in models for n in degrees], row_budget)
     out = []
     for model, p in zip(models, primes):
         for n in degrees:
@@ -1045,16 +1041,10 @@ def _field_characteristic(model: RingModel) -> int:
         return 0
     if len(moduli) == 1:
         p = moduli.pop()
-        if not _is_prime(p):
+        if _prime_power_base(p) != p:
             raise ValueError("constant moduli must be prime for field checks")
         return p
     raise ValueError("mixed moduli do not model an algebra over a field")
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    return all(p % d for d in range(2, int(p**0.5) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -1196,11 +1186,8 @@ def _claim_drensky(config: dict) -> list[VerificationOutcome]:
     models = config["models"] if "models" in config else [ut2(2, 2), grassmann(3, 4)]
     n_max = config.get("n_max", DRENSKY_N_MAX)
     degrees = range(2, n_max + 1)
-    _guard(
-        [(model, n_max, DRENSKY_N_MAX) for model in models],
-        [(model, n) for model in models for n in degrees],
-        config.get("row_budget"),
-    )
+    _check_degrees([n_max])
+    _guard([(model, n) for model in models for n in degrees], config.get("row_budget"))
     return [
         oc for model in models for n in degrees for oc in drensky_outcomes(model, n)
     ]

@@ -77,6 +77,27 @@ def proper_rows(ordinary_rows, basis):
     )
 
 
+def field_rank(rows, columns, q):
+    """The rank of dense rows over F_q (q prime) by Gaussian elimination
+    on dense rows mod q, kept sorted by pivot: the reference for
+    ``lattices.field_rank``, which reads it off the Smith diagonal."""
+    reduced, pivots = [], []
+    for row in rows:
+        v = [x % q for x in row]
+        for r, p in zip(reduced, pivots):
+            if v[p]:
+                f = v[p] * pow(r[p], -1, q) % q
+                v = [(a - f * b) % q for a, b in zip(v, r)]
+        j = next((c for c in range(columns) if v[c]), None)
+        if j is not None:
+            reduced.append(v)
+            pivots.append(j)
+            order = sorted(range(len(pivots)), key=pivots.__getitem__)
+            reduced = [reduced[i] for i in order]
+            pivots = [pivots[i] for i in order]
+    return len(reduced)
+
+
 def evaluation_fold(rows, columns, tail):
     """``lattices._evaluation_fold`` with every head column and unit tail
     handed to ``split_hnf`` as a dense list: the reference for its sparse

@@ -100,7 +100,7 @@ def test_criterion_02_exterior_codimension_table():
             for n in range(2, 5):
                 expected = cyclic_invariants(ell).power(2 ** (n - 1))
                 at_k = ordinary_codim(grassmann(ell, n + 1), n).ordinary
-                at_k1 = ordinary_codim(grassmann(ell, n + 2), n, n_bound=n).ordinary
+                at_k1 = ordinary_codim(grassmann(ell, n + 2), n).ordinary
                 if at_k != expected:
                     problems.append(f"grassmann({ell},{n + 1}) n={n}: {at_k} != {expected}")
                 if at_k1 != at_k:
@@ -118,12 +118,12 @@ def test_criterion_03_proper_ordinary_binomial_identity():
             cyclic_ring(4), cyclic_ring(6), cyclic_ring(0),
         ]
         for model in models:
-            gammas = {j: proper_codim(model, j, n_bound=5) for j in range(6)}
+            gammas = {j: proper_codim(model, j) for j in range(6)}
             for n in range(1, 6):
                 expected = AbelianInvariants((), 0)
                 for j in range(n + 1):
                     expected = expected.direct_sum(gammas[j].power(math.comb(n, j)))
-                got = ordinary_codim(model, n, n_bound=5).ordinary
+                got = ordinary_codim(model, n).ordinary
                 if got != expected or got.per_q() != expected.per_q():
                     problems.append(
                         f"{model.label} n={n}: ordinary {got},"
@@ -186,8 +186,8 @@ def test_criterion_08_proper_quotient_identifications():
                 else:
                     expected = cyclic_invariants(ell)
                     chi_expected = tuple(0 for _ in partitions(t))
-                got = proper_codim(model, t, n_bound=t)
-                chi = proper_quotient_character(model, t, t)
+                got = proper_codim(model, t)
+                chi = proper_quotient_character(model, t)
                 if got != expected:
                     problems.append(f"{model.label} degree {t}: {got} != {expected}")
                 if chi != chi_expected:

@@ -130,8 +130,9 @@ def test_codim_csv(capsys):
     "argv",
     [
         ["codim", "--ring", "cyclic:4", "--n", "2", "--k", "5"],
-        ["codim", "--ring", "ut2:2,2", "--n", "6"],
-        ["codim", "--ring", "grassmann:3,4", "--n", "5"],
+        # one degree rule for every family: the Specht cap 7
+        ["codim", "--ring", "ut2:2,2", "--n", "8"],
+        ["codim", "--ring", "grassmann:3,4", "--n", "8"],
         ["codim", "--ring", "nope:1", "--n", "2"],
         ["codim", "--ring", "@/does/not/exist.json", "--n", "2"],
         ["codim", "--ring", "cyclic:4", "--n", "0..2"],
@@ -169,8 +170,8 @@ def test_verify_budget_exit(capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "ut2(2,2) at n=2" in err and "budget of 1" in err
-    # the probe grassmann(3,5) carries only the degree cap; the first
-    # evaluation over the budget is its identity-basis kernel at degree 3
+    # the probe grassmann(3,5) is charged for its identity-basis degrees;
+    # the first evaluation over the budget is its kernel at degree 3
     assert main(["verify", "grassmann.codim", "--row-budget", "5000"]) == 2
     assert "grassmann(3,5) at n=3" in capsys.readouterr().err
 
@@ -246,11 +247,11 @@ def test_verify_usage_errors(capsys):
         assert captured.out == "" and "selects no checks" in captured.err
     assert main(["verify", "young", "--n-max", "8"]) == 1
     assert "exceeds the supported bound 7" in capsys.readouterr().err
-    # over-cap degrees are rejected, not silently clamped
-    for claim, n_max in (("drensky", 5), ("grassmann.codim", 5), ("field-props", 6)):
-        assert main(["verify", claim, "--n-max", str(n_max)]) == 1
+    # degrees past the Specht cap are rejected, not silently clamped
+    for claim in ("ut2.codim", "drensky", "grassmann.codim", "field-props"):
+        assert main(["verify", claim, "--n-max", "8"]) == 1
         captured = capsys.readouterr()
-        assert captured.out == "" and "exceeds the configured bound" in captured.err
+        assert captured.out == "" and "exceeds the supported bound 7" in captured.err
         # the CLI has no option that passes a bound, so it must not hint at one
         assert "override" not in captured.err
 
@@ -266,6 +267,37 @@ def test_verify_proper_ordinary_rejects_degrees_past_the_specht_cap(capsys, monk
     assert main(["verify", "proper-ordinary", "--ring", "cyclic:3", "--n-max", "9"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "degree 9 exceeds the supported bound 7" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, code, torsion",
+    [
+        # every degree up to 7 is honoured: (6 - 2) * 2^5 + 2 copies of Z/2
+        ("codim --ring ut2:2,2 --n 6", 0, {"ordinary": [2] * 130}),
+        (
+            "codim --ring grassmann:3,6 --n 5 --proper", 0,
+            {"ordinary": [3] * 16, "proper": []},
+        ),
+        ("verify ut2.codim --ring ut2:2,2 --n-max 6", 0, None),
+        ("codim --ring ut2:2,2 --n 8", 1, None),
+        ("verify drensky --n-max 8", 1, None),
+        # the row budget still charges tuple_count * rank: 35,831,808 rows
+        ("codim --ring grassmann:3,7 --n 5", 2, None),
+    ],
+)
+def test_one_degree_rule_exit_codes(argv, code, torsion, capsys):
+    assert main(argv.split()) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == ""
+        return
+    doc = json.loads(captured.out)
+    if torsion is None:
+        assert doc["passed"] is True
+    else:
+        (report,) = doc["reports"]
+        for kind, chain in torsion.items():
+            assert report[kind] == {"free_rank": 0, "torsion": chain}
 
 
 def test_verify_csv(capsys, monkeypatch):

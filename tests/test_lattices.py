@@ -410,6 +410,12 @@ def test_snf_matches_oracle(data):
         assert b % a == 0
 
 
+@given(small_matrix, st.sampled_from([2, 3, 5, 7]))
+def test_field_rank_matches_the_dense_elimination(data, q):
+    rows, cols = data
+    assert field_rank(rows, cols, q) == dense_reference.field_rank(rows, cols, q)
+
+
 @given(small_matrix)
 def test_saturated_iff_unit_invariant_factors(data):
     rows, cols = data

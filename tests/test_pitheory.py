@@ -160,13 +160,13 @@ def test_proper_character_matches_the_proper_coordinate_trace(t):
         direct_sum(ut2(0, 0), cyclic_ring(0)),
     ]
     for model in models:
-        outer, inner = proper_quotient_pair(model, t, n_bound=t)
+        outer, inner = proper_quotient_pair(model, t)
         expected = tuple(
             proper_coordinate_trace(outer, t, word)
             - proper_coordinate_trace(inner, t, word)
             for _, word in conjugacy_class_reps(t)
         )
-        assert proper_quotient_character(model, t, n_bound=t) == expected, model.label
+        assert proper_quotient_character(model, t) == expected, model.label
 
 
 def test_codim_report_shape():
@@ -565,16 +565,11 @@ def test_model_invariants_and_kernel_match_brute_force(model):
 # ---------------------------------------------------------------------------
 
 def test_degree_bounds():
+    # the family caps are default ranges only
     assert degree_bound(ut2(2, 2)) == GENERAL_N_MAX == 5
     assert degree_bound(grassmann(3, 4)) == GRASSMANN_N_MAX == 4
-    with pytest.raises(ValueError, match="exceeds"):
-        ordinary_codim(ut2(2, 2), 6)
-    with pytest.raises(ValueError, match="exceeds"):
-        ordinary_codim(grassmann(3, 4), 5)
-    with pytest.raises(ValueError, match="exceeds"):
-        ordinary_codim(ut2(2, 2), 5, n_bound=4)
-    # an explicit bound opens degrees the default would refuse
-    assert kernel_lattice(ut2(2, 2), 3, n_bound=3).ambient == 6
+    # past them, the paper's formula: (6 - 2) * 2^5 + 1 copies of Z/2, plus Z/2
+    assert ordinary_codim(ut2(2, 2), 6).ordinary == AbelianInvariants((2,) * 130, 0)
     # multilinear degrees start at 1 (proper_codim answers n = 0 itself)
     for n in (0, -1):
         with pytest.raises(ValueError, match="below 1"):
@@ -588,6 +583,8 @@ def test_degree_bounds():
     for entry in entries:
         with pytest.raises(ValueError, match="below 1"):
             entry(ut2(2, 2), -1)
+        with pytest.raises(ValueError, match="exceeds the supported bound 7"):
+            entry(ut2(2, 2), 8)
     # below degree 2 proper_codim evaluates nothing, so no budget applies
     assert proper_codim(ut2(2, 2), 0, row_budget=0) == AbelianInvariants((2,), 0)
     assert proper_codim(ut2(2, 2), 1, row_budget=0) == AbelianInvariants((), 0)
@@ -637,12 +634,17 @@ def test_grassmann_claim_caps_its_proper_degrees_before_any_evaluation(monkeypat
         raise AssertionError("an evaluation ran before the guard")
 
     monkeypatch.setattr(pitheory, "_invariants", untouchable)
-    # a generous row budget must not let degree-8 work start
-    for proper_n_max in (GENERAL_N_MAX + 1, 8):
-        config = {"subjects": [3], "n_max": 2, "proper_n_max": proper_n_max,
-                  "row_budget": 10**12}
-        with pytest.raises(ValueError, match="exceeds"):
-            run_claim("grassmann.codim", config)
+    config = {"subjects": [3], "n_max": 2}
+    # a generous row budget must not let degree-8 work start, nor build a model
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pitheory, "grassmann", untouchable)
+        with pytest.raises(ValueError, match="degree 8 exceeds the supported bound 7"):
+            run_claim("grassmann.codim", dict(config, proper_n_max=8, row_budget=10**12))
+    # degree 6 is honoured, but grassmann(3,7) at n = 6 is charged past the
+    # default budget (a budget of 10**12 would let it run)
+    with pytest.raises(BudgetExceeded) as exc:
+        run_claim("grassmann.codim", dict(config, proper_n_max=GENERAL_N_MAX + 1))
+    assert (exc.value.label, exc.value.n) == ("grassmann(3,7)", 6)
     monkeypatch.undo()
     # below 2 no proper degree is selected
     outcomes = verify_grassmann(3, 2, proper_n_max=1)
@@ -803,7 +805,7 @@ def test_consequence_closure_equals_kernel_ut2_at_degree_6(monkeypatch):
     """The paper's ut2 basis spans the whole identity lattice of ut2(2,2)
     at n = 6, and its spin keeps the builder's entries small (stored raw,
     new rows let them reach 17,035 bits)."""
-    kern = kernel_lattice(ut2(2, 2), 6, n_bound=6)
+    kern = kernel_lattice(ut2(2, 2), 6)
     peak = track_peak_bits(monkeypatch)
     assert consequence_lattice(ut2_identity_basis(2, 2), 6) == kern
     assert 0 < peak[0] <= 8
@@ -939,18 +941,10 @@ def test_verify_degree_caps_fail_before_any_work(monkeypatch):
         "identities_vanish", "_invariants", "tuple_count", "drensky_outcomes",
     ):
         monkeypatch.setattr(pitheory, name, untouchable)
-    with pytest.raises(ValueError, match="degree 8 exceeds the supported bound 7"):
-        run_claim("young", {"n_max": 8})
-    with pytest.raises(ValueError, match="degree 8 exceeds the supported bound 7"):
-        run_claim("specht.torsionfree", {"n_max": 8})
-    with pytest.raises(ValueError, match="n=6 exceeds the configured bound 5"):
-        run_claim("ut2.codim", {"subjects": [(2, 2)], "n_max": 6})
-    with pytest.raises(ValueError, match="n=5 exceeds the configured bound 4"):
-        run_claim("drensky", {"n_max": 5})
-    with pytest.raises(ValueError, match="n=5 exceeds the configured bound 4"):
-        run_claim("grassmann.codim", {"subjects": [3], "n_max": 5})
-    with pytest.raises(ValueError, match="n=6 exceeds the configured bound 5"):
-        run_claim("field-props", {"n_max": 6})
+    # one degree rule for every claim: no family cap rejects below 8
+    for claim in CLAIMS:
+        with pytest.raises(ValueError, match="degree 8 exceeds the supported bound 7"):
+            run_claim(claim, {"n_max": 8})
 
 
 def test_run_claim_unknown():
