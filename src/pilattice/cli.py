@@ -46,7 +46,6 @@ class RunConfig:
     ring: str | None = None
     n: tuple[int, ...] | None = None
     q: int | None = None
-    k: int | None = None
     output: str | None = None
     format: str = "json"
     seed: int | None = None
@@ -209,16 +208,12 @@ def _invariant_cells(inv_doc: dict) -> tuple[int, str]:
 
 def cmd_codim(args) -> int:
     model = parse_ring_spec(args.ring)
-    if args.k is not None:
-        if model.family != "grassmann":
-            raise ValueError("--k applies only to grassmann ring specs")
-        model = grassmann(model.params[0], args.k)
     degrees = parse_n_range(args.n)
     if args.q is not None:
         AbelianInvariants((), 0).codim(args.q)  # reject a bad q before evaluating
     _guard([(model, n) for n in degrees], args.row_budget)
     config = RunConfig(
-        command="codim", ring=args.ring, n=degrees, q=args.q, k=args.k,
+        command="codim", ring=args.ring, n=degrees, q=args.q,
         output=args.output, format=args.format, seed=args.seed,
         row_budget=args.row_budget, timings=args.timings,
     )
@@ -396,9 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--proper", action="store_true", help="include proper invariants"
     )
     codim.add_argument("--q", type=int, default=None, help="also report c_n(.,q)")
-    codim.add_argument(
-        "--k", type=int, default=None, help="override the grassmann truncation"
-    )
     codim.add_argument("--row-budget", type=_int_at_least(0), default=None)
     codim.add_argument(
         "--timings", action="store_true",

@@ -2,12 +2,12 @@
 
 Everything here works over Z with arbitrary-precision Python ints.  One
 Hermite fold (``split_hnf``) gives the image, the relations and the
-preimages: the value group and the identity lattice of an evaluation map
-with mixed cyclic target moduli come off one fold, and the Smith diagonal
-from alternating folds.  One kernel, ``_reduce``, reduces every row over
-Z: the fold's steps, membership, coordinates, traces and the Hermite form
-all go through it, and so does ``field_rank``, which reads its mod-p rank
-off the Smith diagonal.
+preimages: the identity lattice K of an evaluation map with mixed cyclic
+target moduli comes off one fold, and its value group Z^columns/K off the
+Smith diagonal of K, which comes from alternating folds.  One kernel,
+``_reduce``, reduces every row over Z: the fold's steps, membership,
+coordinates, traces and the Hermite form all go through it, and so does
+``field_rank``, which reads its mod-p rank off the Smith diagonal.
 
 Vectors are rows throughout; a lattice is the row span of a matrix, and a
 map acts on the right (``v @ M``).  Matrices are plain ``list[list[int]]``;
@@ -376,15 +376,10 @@ def split_hnf(
     return whole, _hermite(head, heads), _hermite(tail, moved)
 
 
-def preimage(whole: LatticeBuilder, u: Row | Sparse, head: int | None = None) -> list[int] | None:
+def preimage(whole: LatticeBuilder, u: Row | Sparse, head: int) -> list[int] | None:
     """A tail t with [u | t] in the fold ``whole`` of ``split_hnf``, or None
     when u is not in its image.  ``u`` is a dense row of the head width
-    ``head`` (by default its length) or a {column: value} dict, which needs
-    ``head``."""
-    if head is None:
-        if isinstance(u, dict):
-            raise TypeError("a {column: value} row needs the head width")
-        head = len(u)
+    ``head`` or a {column: value} dict."""
     v = _reduce(_sparse(u, head), whole.echelon)
     if v and min(v) < head:
         return None
@@ -604,61 +599,46 @@ def _clean_rows(rows: Iterable[tuple[Row, int]]) -> list[tuple[list[int], int]]:
     return out
 
 
-def _evaluation_fold(rows: Iterable[tuple[Row, int]], columns: int, tail: int) -> tuple:
-    """One ``split_hnf`` of Z^columns -> prod Z/m_i: the columns [A e_j | e_j]
-    of the cleaned functionals A, tails cut to ``tail`` entries, and the rows
-    [m_i e_i | 0] spanning the moduli lattice D (free functionals add none).
-    Returns (D, image, relations): the image is A Z^columns + D, and with
-    ``tail`` = columns the relations are the kernel {v : A v in D}.
-
-    Each head A e_j is the {functional index: value} dict of its nonzeros,
-    each unit tail {j: 1}, or {} from ``tail`` on.  The columns go
-    last-first.  The tails already folded touch only columns above j, so a
-    relation met while folding column j has its pivot at j, left of every
-    relation so far: it is inserted without meeting the other relations,
-    and the Hermite form has no dense triangle to back-reduce."""
-    functionals = _clean_rows(rows)
-    r = len(functionals)
-    moduli = {k: {k: m} for k, (_, m) in enumerate(functionals) if m}
-    heads: list[Sparse] = [{} for _ in range(columns)]
-    for k, (v, _) in enumerate(functionals):
-        if len(v) != columns:
-            raise ValueError(f"row length {len(v)} != columns {columns}")
-        for j in compress(range(columns), v):
-            heads[j][k] = v[j]
-    units = ({j: 1} if j < tail else {} for j in range(columns))
-    pairs = [*zip(heads, units)][::-1] + [(d, {}) for d in moduli.values()]
-    _, image, relations = split_hnf(pairs, r, tail)
-    return SubmoduleLattice(r, moduli), image, relations
-
-
 def image_invariants(rows: Iterable[tuple[Row, int]], columns: int) -> AbelianInvariants:
     """Invariants of the image of the evaluation map Z^columns -> prod Z/m_i.
 
     Each element of ``rows`` is a pair (vector, m): one linear functional
-    landing in Z/m (m = 0 means Z).  The image is (A Z^columns + D) / D, the
-    heads of a heads-only ``_evaluation_fold`` modulo the moduli lattice D,
-    whose rows m_i e_i are a Hermite form already.
+    landing in Z/m (m = 0 means Z).  The image is Z^columns / K for the
+    kernel K of ``evaluation_kernel``.
 
     >>> image_invariants([([1, 0], 2), ([0, 1], 2)], 2)
     AbelianInvariants(torsion=(2, 2), free_rank=0)
     >>> image_invariants([([0, 0], 7)], 2)      # zero map: trivial image
     AbelianInvariants(torsion=(), free_rank=0)
     """
-    moduli, image, _ = _evaluation_fold(rows, columns, 0)
-    return image.quotient_invariants(moduli)
+    return cokernel_invariants([*evaluation_kernel(rows, columns).echelon.values()], columns)
 
 
 def evaluation_kernel(rows: Iterable[tuple[Row, int]], columns: int) -> SubmoduleLattice:
     """The lattice {v in Z^columns : row . v == 0 (mod m) for every row}.
 
-    This is the relation lattice of the image computed by
-    ``image_invariants``: Z^columns / kernel is isomorphic to the image.
+    One ``split_hnf`` of the columns [A e_j | e_j] of the cleaned
+    functionals A, each head the {functional index: value} dict of its
+    nonzeros and each tail {j: 1}, then the rows [m_i e_i | 0] of the
+    moduli (free functionals add none); the relations are the kernel.  The
+    columns go last-first.  The tails already folded touch only columns
+    above j, so a relation met while folding column j has its pivot at j,
+    left of every relation so far: it is inserted without meeting the other
+    relations, and the Hermite form has no dense triangle to back-reduce.
 
     >>> evaluation_kernel([([1, 1], 2), ([1, -1], 0)], 2).rows
     ((1, 1),)
     """
-    return _evaluation_fold(rows, columns, columns)[2]
+    functionals = _clean_rows(rows)
+    heads: list[Sparse] = [{} for _ in range(columns)]
+    for k, (v, _) in enumerate(functionals):
+        if len(v) != columns:
+            raise ValueError(f"row length {len(v)} != columns {columns}")
+        for j in compress(range(columns), v):
+            heads[j][k] = v[j]
+    moduli = [({k: m}, {}) for k, (_, m) in enumerate(functionals) if m]
+    pairs = [(heads[j], {j: 1}) for j in reversed(range(columns))] + moduli
+    return split_hnf(pairs, len(functionals), columns)[2]
 
 
 def field_rank(rows: Iterable[Row | Sparse], columns: int, q: int = 0) -> int:

@@ -275,10 +275,10 @@ def _rows(model: RingModel, n: int, proper: bool) -> tuple[Functional, ...]:
 
 @lru_cache(maxsize=None)
 def _invariants(model: RingModel, n: int, proper: bool) -> AbelianInvariants:
-    """The degree-n value group.  The ordinary one is Z^{n!}/K for the
-    identity lattice K, read off the Hermite rows of ``_kernel``, so one
-    fold serves the codim report and ``kernel_lattice``; the proper one is
-    the image of the proper functionals, whose kernel no codim needs."""
+    """The degree-n value group Z^columns/K for the identity lattice K.
+    The ordinary one is read off the Hermite rows of ``_kernel``, so one
+    fold serves the codim report and ``kernel_lattice``; the proper one off
+    the kernel that ``image_invariants`` folds from the proper functionals."""
     if proper:
         return image_invariants(_rows(model, n, True), _columns(n, True))
     return cokernel_invariants([*_kernel(model, n, False).echelon.values()], _columns(n, False))
@@ -690,7 +690,9 @@ def _induced_character(model: RingModel, t: int, n: int) -> tuple[int, ...]:
     return tuple(values)
 
 
-def drensky_filtration(model: RingModel, n: int) -> DrenskyReport:
+def drensky_filtration(
+    model: RingModel, n: int, *, row_budget: int | None = None
+) -> DrenskyReport:
     """Filtration of the degree-n value group by minimal proper degree.
 
     Level t is spanned, modulo identities, by the renaming orbit of
@@ -702,7 +704,7 @@ def drensky_filtration(model: RingModel, n: int) -> DrenskyReport:
     via the induction formula).
     """
     _check_degrees([n])
-    _guard([(model, t) for t in range(2, n + 1)])
+    _guard([(model, t) for t in range(2, n + 1)], row_budget)
     return _drensky(model, n)
 
 
@@ -721,7 +723,7 @@ def _drensky(model: RingModel, n: int) -> DrenskyReport:
     for t in range(n, 1, -1):
         seeds = [_placed(n, e.expand(), n - t, (1,) * t) for e in proper_basis(t).elements]
         levels[t] = orbit_span(dim, seeds, maps, stable=levels[t + 1].echelon.values())
-    head = SubmoduleLattice.full(dim).quotient_invariants(levels[2])
+    head = cokernel_invariants([*levels[2].echelon.values()], dim)
     head_expected = cyclic_invariants(model.characteristic())
     factors = []
     for t in range(2, n + 1):

@@ -99,9 +99,12 @@ def field_rank(rows, columns, q):
 
 
 def evaluation_fold(rows, columns, tail):
-    """``lattices._evaluation_fold`` with every head column and unit tail
-    handed to ``split_hnf`` as a dense list: the reference for its sparse
-    inputs."""
+    """(moduli lattice D, image, relations) of the evaluation map's fold,
+    with every head column and unit tail handed to ``split_hnf`` as a dense
+    list, tails cut to ``tail`` entries: the reference for
+    ``lattices.evaluation_kernel`` (the relations, with ``tail`` = columns)
+    and for ``lattices.image_invariants`` (the heads-only image modulo D,
+    with ``tail`` = 0)."""
     functionals = _clean_rows(rows)
     r = len(functionals)
     moduli = {k: {k: m} for k, (_, m) in enumerate(functionals) if m}

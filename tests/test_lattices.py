@@ -20,7 +20,6 @@ from pilattice.lattices import (
     LatticeBuilder,
     SubmoduleLattice,
     _clean_rows,
-    _evaluation_fold,
     cokernel_invariants,
     evaluation_kernel,
     field_rank,
@@ -309,8 +308,8 @@ def test_split_hnf_preimage():
     rows = [[2, 0, 1], [0, 3, 0]]
     unit = [[1, 0], [0, 1]]
     whole, image, _ = split_hnf(zip(rows, unit), 3, 2)
-    assert preimage(whole, [4, 3, 2]) == [2, 1]
-    assert preimage(whole, [1, 0, 0]) is None
+    assert preimage(whole, [4, 3, 2], 3) == [2, 1]
+    assert preimage(whole, [1, 0, 0], 3) is None
     assert image.rank == 2
 
 
@@ -586,9 +585,10 @@ def test_evaluation_map_matches_brute_force(data):
 @settings(deadline=None)
 @given(evaluation_map, st.randoms(use_true_random=False))
 def test_evaluation_fold_is_order_independent(data, rng):
-    """The pairs of ``_evaluation_fold`` folded last-first, forward and
-    shuffled (moduli rows included) give the same image and relations: the
-    fold order is chosen for cost only."""
+    """The pairs of the evaluation fold folded last-first, forward and
+    shuffled (moduli rows included) give the same image and relations, and
+    the relations are ``evaluation_kernel``: the fold order is chosen for
+    cost only."""
     functionals, cols = data
     cleaned = _clean_rows(functionals)
     r = len(cleaned)
@@ -600,9 +600,10 @@ def test_evaluation_fold_is_order_independent(data, rng):
     ]
     shuffled = columns + moduli
     rng.shuffle(shuffled)
-    _, image, relations = _evaluation_fold(functionals, cols, cols)
-    for pairs in (columns[::-1] + moduli, columns + moduli, shuffled):
-        assert split_hnf(pairs, r, cols)[1:] == (image, relations)
+    expected = split_hnf(columns[::-1] + moduli, r, cols)[1:]
+    assert expected[1] == evaluation_kernel(functionals, cols)
+    for pairs in (columns + moduli, shuffled):
+        assert split_hnf(pairs, r, cols)[1:] == expected
 
 
 fold_inputs = st.integers(1, 24).flatmap(
@@ -615,7 +616,6 @@ fold_inputs = st.integers(1, 24).flatmap(
             max_size=12,
         ),
         st.just(cols),
-        st.sampled_from((0, cols)),
     )
 )
 
@@ -623,23 +623,29 @@ fold_inputs = st.integers(1, 24).flatmap(
 @settings(deadline=None)
 @given(fold_inputs)
 def test_evaluation_fold_matches_dense_inputs(data):
-    """Sparse heads and unit tails fold to the moduli lattice, image and
-    relations of the dense columns ``split_hnf`` was handed before."""
-    functionals, cols, tail = data
-    expected = dense_reference.evaluation_fold(functionals, cols, tail)
-    assert _evaluation_fold(functionals, cols, tail) == expected
+    """Sparse heads and unit tails fold to the relations of the dense
+    columns with unit tails, and the value group is the image of the dense
+    heads-only fold modulo the moduli lattice."""
+    functionals, cols = data
+    _, _, relations = dense_reference.evaluation_fold(functionals, cols, cols)
+    assert evaluation_kernel(functionals, cols) == relations
+    moduli, image, _ = dense_reference.evaluation_fold(functionals, cols, 0)
+    assert image_invariants(functionals, cols) == image.quotient_invariants(moduli)
 
 
 @settings(deadline=None)
 @given(fold_inputs)
 def test_image_is_the_cokernel_of_the_kernel(data):
     """Z^columns / kernel is the image: the value group read off the
-    kernel's Hermite rows, as the codim reports read it, against the
-    heads-only image fold, on mixed moduli with Z among them."""
-    functionals, cols, _ = data
+    kernel's Hermite rows, as the codim reports and ``image_invariants``
+    read it, against the dense heads-only image fold modulo the moduli
+    lattice, on mixed moduli with Z among them."""
+    functionals, cols = data
+    moduli, image, _ = dense_reference.evaluation_fold(functionals, cols, 0)
+    expected = image.quotient_invariants(moduli)
     kernel = evaluation_kernel(functionals, cols)
-    expected = image_invariants(functionals, cols)
     assert cokernel_invariants([*kernel.echelon.values()], cols) == expected
+    assert image_invariants(functionals, cols) == expected
 
 
 def test_evaluation_fold_rejects_rows_of_another_length():
@@ -845,7 +851,7 @@ def check_split_hnf(ambient, rows, head, pairs):
     for u in [*image.rows, *(r[:head] for r in rows)]:
         v = ref.reduce([*u, *[0] * tail])
         expected = None if any(v[:head]) else [-c for c in v[head:]]
-        assert preimage(whole, u) == expected
+        assert preimage(whole, u, head) == expected
         assert preimage(whole, {c: x for c, x in enumerate(u) if x}, head) == expected
 
 
@@ -1049,25 +1055,15 @@ def test_action_trace_rejects_a_map_that_moves_the_lattice(n):
 
 
 @settings(deadline=None)
-@given(
-    st.integers(0, 8),
-    st.lists(
-        st.tuples(st.lists(st.integers(-4, 4), min_size=3, max_size=3), st.integers(0, 6)),
-        max_size=8,
-    ),
-)
-def test_direct_constructors_give_the_canonical_form(k, functionals):
-    """``full``, ``zero`` and the moduli lattice of ``_evaluation_fold``
-    write their echelon without a fold; each must be the Hermite form that
-    a fold gives, a sparse echelon, with ``rows`` its dense form."""
-    cleaned = _clean_rows(functionals)
-    r = len(cleaned)
-    moduli_rows = [[m * (i == j) for i in range(r)] for j, (_, m) in enumerate(cleaned) if m]
+@given(st.integers(0, 8))
+def test_direct_constructors_give_the_canonical_form(k):
+    """``full`` and ``zero`` write their echelon without a fold; each must
+    be the Hermite form that a fold gives, a sparse echelon, with ``rows``
+    its dense form."""
     unit_rows = [[int(i == j) for i in range(k)] for j in range(k)]
     for direct, folded in [
         (SubmoduleLattice.full(k), SubmoduleLattice.from_rows(k, unit_rows)),
         (SubmoduleLattice.zero(k), SubmoduleLattice.from_rows(k, [])),
-        (_evaluation_fold(functionals, 3, 0)[0], SubmoduleLattice.from_rows(r, moduli_rows)),
     ]:
         assert direct == folded
         for latt in (direct, folded):

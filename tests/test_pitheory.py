@@ -52,6 +52,7 @@ from pilattice.rings import (
 from pilattice.specht import (
     conjugacy_class_reps, specht_character, tabloid_action_map,
 )
+import dense_reference
 from dense_reference import permute_row, proper_rows
 from test_lattices import assert_torsion_counts, brute_image
 
@@ -231,11 +232,12 @@ TORSION_SESSION_KINDS = [cyclic_ring(0), cyclic_ring(5), ut2(0, 0), ut2(3, 3), u
 @pytest.mark.parametrize("model", TORSION_SESSION_KINDS, ids=lambda model: model.label)
 def test_ordinary_value_group_is_the_image(model):
     """Z^{n!}/K, the codim route, against the image of the ordinary
-    functionals, for each kind of model of the torsion session."""
+    functionals (the dense heads-only fold modulo the moduli lattice), for
+    each kind of model of the torsion session."""
     for n in range(1, 6):
         rows = pitheory._rows(model, n, False)
-        image = image_invariants(rows, math.factorial(n))
-        assert ordinary_codim(model, n).ordinary == image
+        moduli, image, _ = dense_reference.evaluation_fold(rows, math.factorial(n), 0)
+        assert ordinary_codim(model, n).ordinary == image.quotient_invariants(moduli)
 
 
 def test_walk_builds_only_the_transposition_maps(monkeypatch):
@@ -601,10 +603,12 @@ def test_budget_exceeded_carries_context():
 
 def test_budget_threshold_is_exact_whatever_is_cached():
     # tuple_count * rank rows pass and one less raises, on the monomial and
-    # on the proper side, before and after the rows are cached
+    # on the proper side, before and after the rows are cached; the
+    # filtration is charged degrees 2 and 3, and degree 3 is the larger
     entries = (
         ordinary_codim, kernel_lattice,
         proper_codim, proper_quotient_pair, proper_quotient_character,
+        drensky_filtration,
     )
     for model in (ut2(6, 3), grassmann(5, 3), direct_sum(cyclic_ring(2), ut2(3, 3))):
         needed = tuple_count(model, 3) * model.rank

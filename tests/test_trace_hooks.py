@@ -1,12 +1,23 @@
 """The benchmark's layer trace (perfbench/layertrace.py) patches functions
-of the library by name; this guard fails when a rename breaks it."""
+of the library by name; these guards fail when a rename, or a route that
+bypasses a traced function, breaks it."""
 
+import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+try:
+    from opchild import TRACE_MARKER
+    from workloads import WORKLOADS
+finally:
+    sys.path.remove(str(ROOT / "perfbench"))
 
 TRACED_SESSION = """
 import importlib.util
@@ -25,9 +36,10 @@ kernel_lattice(model, 3)
 summary = tracer.summary()
 assert summary["counts"]["rings.tuples"] == tuple_count(model, 3), summary
 assert summary["calls"]["pitheory.eval"] == 1, summary
-# one proper image fold; the ordinary value group is read off the kernel
+# one proper image, read off its own kernel fold; the ordinary value group
+# is read off the ordinary kernel
 assert summary["calls"]["lattices.image"] == 1, summary
-assert summary["calls"]["lattices.kernel"] == 1, summary
+assert summary["calls"]["lattices.kernel"] == 2, summary
 # validation runs in the constructor, so building a model is a traced span
 assert summary["calls"]["rings.build"] >= 1, summary
 
@@ -61,3 +73,38 @@ def test_layer_trace_hooks_resolve():
     )
     assert proc.returncode == 0, proc.stderr
     assert "LookupError" not in proc.stderr
+
+
+# A miniature of each workload's ops, as arguments of perfbench/opchild.py.
+MINIATURES = {
+    "exterior-cli": [
+        ["cli", "codim", "--ring", "grassmann:3,3", "--n", "2..3", "--proper"],
+    ],
+    "torsion-session": [
+        ["session", json.dumps({"models": [["ut2", 2, 2], ["cyclic", 3]], "degrees": [2, 3]})],
+    ],
+    "specht-claims": [
+        ["cli", "verify", "young", "--n-max", "3"],
+        ["cli", "verify", "specht.torsionfree", "--n-max", "3"],
+        ["cli", "specht", "filtrate", "--lambda", "1", "--n", "3"],
+    ],
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_traced_miniature_calls_every_listed_layer(workload):
+    """Each span or counter that a traced pass of the workload must record
+    (``WORKLOADS[w]["called"]``) is nonzero in a miniature of its ops, each
+    run like a benchmark op in its own traced process."""
+    seen = Counter()
+    for mode, *rest in MINIATURES[workload]:
+        proc = subprocess.run(
+            [sys.executable, "perfbench/opchild.py", mode, "trace", *rest],
+            cwd=ROOT, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        summary = json.loads(proc.stderr.rpartition(TRACE_MARKER)[2])
+        seen.update(summary["calls"])
+        seen.update(summary["counts"])
+    missing = [name for name in WORKLOADS[workload]["called"] if not seen[name]]
+    assert not missing, f"{workload} miniature recorded no calls into {missing}"
